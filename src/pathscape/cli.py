@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, cascade, hypercube, mc, moments, recursion, stats, tree, verify
-from .parallel import ENV_THREADS
+from .parallel import ENV_THREADS, resolve_threads
 from .rng import PHILOX_TAG, SPLITMIX_TAG, derive_seed
 
 DEFAULT_SEED = verify.DEFAULT_SEED
@@ -47,7 +47,7 @@ class ExperimentRecord:
     version: str = __version__
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, default=_jsonable)
+        return json.dumps(asdict(self), sort_keys=True, default=_jsonable, allow_nan=False)
 
 
 def _jsonable(obj):
@@ -182,6 +182,8 @@ def _cmd_tree(args):
         return out, SPLITMIX_TAG
     # exists
     est = tree.tree_existence_mc(args.dim, x, args.samples, args.seed, args.budget)
+    if est.budget_hits == args.samples:
+        raise tree.BudgetExceededError("all tree realizations exceeded node budget")
     return asdict(est), SPLITMIX_TAG
 
 
@@ -392,6 +394,7 @@ def run(argv=None) -> int:
     records: list[ExperimentRecord] = []
 
     try:
+        resolve_threads(args.threads)  # a bad --threads or $PATHSCAPE_THREADS exits 2
         if args.group == "verify":
             code = _cmd_verify(args, records, t0)
         else:
@@ -407,6 +410,8 @@ def run(argv=None) -> int:
                 )
             )
             code = EXIT_OK
+        # strict JSON: a non-finite value is refused here, never printed
+        lines = [rec.to_json() for rec in records]
     except (ValueError, KeyError) as exc:
         print(json.dumps({"error": "parameters", "message": str(exc)}), file=sys.stderr)
         return EXIT_PARAMS
@@ -414,8 +419,8 @@ def run(argv=None) -> int:
         print(json.dumps({"error": "budget", "message": str(exc)}), file=sys.stderr)
         return EXIT_BUDGET
 
-    for rec in records:
-        print(rec.to_json())
+    for line in lines:
+        print(line)
     if args.csv:
         _write_csv(args.csv, records)
     return code

@@ -1,9 +1,10 @@
 """Monte Carlo batch drivers over derived replica streams.
 
-These wrap the exact per-realization routines in `hypercube` and `tree`
-into replica loops keyed by (master_seed, replica); aggregation is a
-plain concatenation in replica order, so results do not depend on thread
-count or completion order.
+These wrap the exact routines in `hypercube` (one landscape at a time)
+and `tree` (one frontier-engine call per replica block) into replica
+loops keyed by (master_seed, replica); aggregation is a plain
+concatenation in replica order, so results do not depend on thread
+count, block size or completion order.
 """
 
 from __future__ import annotations
@@ -54,11 +55,12 @@ def hypercube_theta_k_batch(
     return map_replicas(worker, samples, threads)
 
 
-def _tree_theta_chunk(L, x, seed, budget, start, stop):
-    out = np.empty(stop - start, dtype=np.int64)
-    for i, r in enumerate(range(start, stop)):
-        params = tree.TreeParams(L, x, derive_seed(seed, r), budget)
-        out[i] = tree.sample_theta_tree(params)
+def _tree_chunk(block_fn, dtype, L, x, seed, args, start, stop):
+    """block_fn over range(start, stop), one engine call per replica block."""
+    out = np.empty(stop - start, dtype=dtype)
+    for a, b in tree.replica_blocks(L, x, start, stop):
+        seeds = np.array([derive_seed(seed, r) for r in range(a, b)], dtype=np.uint64)
+        out[a - start : b - start] = block_fn(seeds, L, x, *args)
     return out
 
 
@@ -70,16 +72,8 @@ def tree_theta_batch(
     budget: int = tree.DEFAULT_NODE_BUDGET,
     threads: int | None = None,
 ) -> np.ndarray:
-    worker = partial(_tree_theta_chunk, L, x, seed, budget)
+    worker = partial(_tree_chunk, tree.theta_block, np.int64, L, x, seed, (budget,))
     return map_replicas(worker, samples, threads)
-
-
-def _tree_theta_k_chunk(L, x, seed, k, budget, start, stop):
-    out = np.empty(stop - start)
-    for i, r in enumerate(range(start, stop)):
-        params = tree.TreeParams(L, x, derive_seed(seed, r), budget)
-        out[i] = tree.theta_k_tree(params, k)
-    return out
 
 
 def tree_theta_k_batch(
@@ -91,5 +85,5 @@ def tree_theta_k_batch(
     budget: int = tree.DEFAULT_NODE_BUDGET,
     threads: int | None = None,
 ) -> np.ndarray:
-    worker = partial(_tree_theta_k_chunk, L, x, seed, k, budget)
+    worker = partial(_tree_chunk, tree.theta_k_block, np.float64, L, x, seed, (k, budget))
     return map_replicas(worker, samples, threads)

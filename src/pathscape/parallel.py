@@ -18,15 +18,21 @@ ENV_THREADS = "PATHSCAPE_THREADS"
 
 
 def resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get(ENV_THREADS)
-    if env:
+    """Worker count: `threads`, else $PATHSCAPE_THREADS, else 1.
+
+    Raises ValueError on a count below 1 or a non-integer environment value.
+    """
+    if threads is None:
+        env = os.environ.get(ENV_THREADS, "").strip()
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
-            pass
-    return 1
+            raise ValueError(f"{ENV_THREADS} must be an integer, got {env!r}") from None
+    if threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {threads}")
+    return threads
 
 
 def map_replicas(

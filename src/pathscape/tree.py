@@ -3,24 +3,31 @@
 The tree has root arity L, then L-1, ..., 1; the L! leaves all carry the
 value 1 and the root carries x.  A node value is a pure function of
 (seed, path digest): the value of child c of a node with digest d is
-uniform_from_hash(splitmix64(d + c + 1)).  Because values are keyed by
-position rather than draw order, a pruned DFS and a full enumeration
-replay exactly the same realization.
+uniform_from_hash(splitmix64(d + c + 1)), so the level-synchronous frontier
+engine (`_walk`, over a block of replicas) and a full enumeration replay
+exactly the same realization.
 
-The expected number of alive (open-prefix) nodes is about (2-x)^L, so
-exact sampling blows up quickly with L; every walker carries a visit
-budget and exceeding it is an error distinct from "zero paths".
+The expected number of alive (open-prefix) nodes is about (2-x)^L; every
+walk carries a per-replica visit budget, and exceeding it is an error
+distinct from "zero paths".  Existence is Theta >= 1, so its budget counts
+the visits of the full walk, not those up to the first open path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .rng import derive_seed, splitmix64, uniform_from_hash
 
 _M64 = (1 << 64) - 1
 
 DEFAULT_NODE_BUDGET = 10**8
+
+# Replicas per engine call: at most this many expected alive nodes, (2-x)^L
+# per replica, in one block, which bounds the frontier's memory.
+_BLOCK_NODES = 2**14
 
 
 class BudgetExceededError(RuntimeError):
@@ -60,64 +67,91 @@ def _child_hash(digest: int, child: int) -> int:
     return splitmix64((digest + child + 1) & _M64)
 
 
-def sample_theta_tree(params: TreeParams) -> int:
-    """Exact Theta for the seeded realization, by pruned DFS.
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """`rng.splitmix64` on a uint64 array, in place (arrays wrap; scalars warn)."""
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> 30
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> 27
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    return z
 
-    Only open prefixes are expanded.  A node at level L-1 with value < 1
-    contributes exactly one open path (its single leaf child carries 1).
+
+def _walk(seeds: np.ndarray, L: int, x: float, depth: int, budget: int):
+    """Walk a block of replicas (uint64 `seeds`) level by level to `depth`.
+
+    Returns the open level-`depth` nodes as (values, digests, owner=replica
+    index), each replica's nodes contiguous and in BFS order, and `over_at`:
+    per replica, the level whose children took its visit count (arity x
+    alive nodes per level) past `budget`, else 0; such a replica stops.
     """
-    L = params.dim
-    budget = params.node_budget
-    visited = 0
-    theta = 0
-    root = (0, params.root_value, _root_digest(params.seed))
-    if L == 1:
-        return 1 if params.root_value < 1.0 else 0
-    stack = [root]
-    while stack:
-        level, val, dig = stack.pop()
-        child_level = level + 1
-        for c in range(L - level):
-            visited += 1
-            if visited > budget:
-                raise BudgetExceededError(
-                    f"node budget {budget} exhausted at level {child_level}"
-                )
-            ch = _child_hash(dig, c)
-            cv = uniform_from_hash(ch)
-            if cv > val:
-                if child_level == L - 1:
-                    theta += 1
-                else:
-                    stack.append((child_level, cv, ch))
-    return theta
+    TreeParams(L, x, 0, budget)  # validates dim, root value and budget
+    if not 0 <= depth < L:
+        raise ValueError(f"need 0 <= k < dim, got k={depth}")
+    n = len(seeds)
+    values, digests, owner = np.full(n, float(x)), _splitmix64(seeds.copy()), np.arange(n)
+    visits, over_at = np.zeros((2, n), dtype=np.int64)
+    for level in range(depth):
+        arity = L - level
+        visits += arity * np.bincount(owner, minlength=n)
+        over_at[(visits > budget) & (over_at == 0)] = level + 1
+        if over_at.any():
+            keep = over_at[owner] == 0
+            values, digests, owner = values[keep], digests[keep], owner[keep]
+        hashes = _splitmix64(digests[:, None] + np.arange(1, arity + 1, dtype=np.uint64))
+        # child value (h >> 11) * 2^-53 > parent value, compared exactly in 2^-53 units
+        alive = (hashes >> 11) > values[:, None] * 2.0**53
+        digests = hashes[alive]
+        values = (digests >> 11) * 2.0**-53
+        owner = np.broadcast_to(owner[:, None], alive.shape)[alive]
+    return values, digests, owner, over_at
+
+
+def _raise_over_budget(over_at: np.ndarray, budget: int) -> None:
+    if over_at.any():
+        raise BudgetExceededError(f"node budget {budget} exhausted at level {over_at.max()}")
+
+
+def replica_blocks(L: int, x: float, start: int, stop: int) -> list[tuple[int, int]]:
+    """Consecutive spans covering range(start, stop), one engine call each."""
+    step = max(1, int(_BLOCK_NODES * max(1.0, 2.0 - x) ** -L))
+    return [(a, min(a + step, stop)) for a in range(start, stop, step)]
+
+
+def theta_block(seeds: np.ndarray, L: int, x: float, budget: int) -> np.ndarray:
+    """Exact Theta per replica seed.  A node at level L-1 with value < 1
+    contributes exactly one open path (its single leaf child carries 1)."""
+    values, _, owner, over_at = _walk(seeds, L, x, L - 1, budget)
+    _raise_over_budget(over_at, budget)
+    return np.bincount(owner[values < 1.0], minlength=len(seeds))
+
+
+def theta_k_block(seeds: np.ndarray, L: int, x: float, k: int, budget: int) -> np.ndarray:
+    """Theta_k per replica seed, each a sequential sum of Python-float
+    powers as in theta_k_from_front (numpy's power can differ in the last bit)."""
+    values, _, owner, over_at = _walk(seeds, L, x, k, budget)
+    _raise_over_budget(over_at, budget)
+    fronts = np.split(values, np.cumsum(np.bincount(owner, minlength=len(seeds)))[:-1])
+    return np.array([theta_k_from_front(front.tolist(), L, k) for front in fronts])
+
+
+def _walk_one(p: TreeParams, depth: int):
+    seeds = np.array([p.seed & _M64], dtype=np.uint64)
+    values, digests, _, over_at = _walk(seeds, p.dim, p.root_value, depth, p.node_budget)
+    _raise_over_budget(over_at, p.node_budget)
+    return values, digests
+
+
+def sample_theta_tree(params: TreeParams) -> int:
+    """Exact Theta for the seeded realization."""
+    return int(np.count_nonzero(_walk_one(params, params.dim - 1)[0] < 1.0))
 
 
 def alive_front(params: TreeParams, k: int) -> AliveFront:
-    """Open prefixes at level k, by level-limited BFS."""
-    L = params.dim
-    if not 0 <= k < L:
-        raise ValueError(f"need 0 <= k < dim, got k={k}")
-    values = [params.root_value]
-    digests = [_root_digest(params.seed)]
-    visited = 0
-    for level in range(k):
-        nv: list[float] = []
-        nd: list[int] = []
-        for val, dig in zip(values, digests):
-            for c in range(L - level):
-                visited += 1
-                if visited > params.node_budget:
-                    raise BudgetExceededError(
-                        f"node budget {params.node_budget} exhausted at level {level + 1}"
-                    )
-                ch = _child_hash(dig, c)
-                cv = uniform_from_hash(ch)
-                if cv > val:
-                    nv.append(cv)
-                    nd.append(ch)
-        values, digests = nv, nd
-    return AliveFront(level=k, values=tuple(values), digests=tuple(digests))
+    """Open prefixes at level k, in BFS order."""
+    values, digests = _walk_one(params, k)
+    return AliveFront(level=k, values=tuple(values.tolist()), digests=tuple(digests.tolist()))
 
 
 def theta_k_from_front(front_values, L: int, k: int) -> float:
@@ -128,33 +162,7 @@ def theta_k_from_front(front_values, L: int, k: int) -> float:
 
 def theta_k_tree(params: TreeParams, k: int) -> float:
     """Exact conditional expectation of Theta given the first k levels."""
-    front = alive_front(params, k)
-    return theta_k_from_front(front.values, params.dim, k)
-
-
-def _has_open_path(params: TreeParams) -> bool:
-    """Early-exit DFS; True on the first alive level L-1 node."""
-    L = params.dim
-    if L == 1:
-        return params.root_value < 1.0
-    visited = 0
-    stack = [(0, params.root_value, _root_digest(params.seed))]
-    while stack:
-        level, val, dig = stack.pop()
-        child_level = level + 1
-        for c in range(L - level):
-            visited += 1
-            if visited > params.node_budget:
-                raise BudgetExceededError(
-                    f"node budget {params.node_budget} exhausted at level {child_level}"
-                )
-            ch = _child_hash(dig, c)
-            cv = uniform_from_hash(ch)
-            if cv > val:
-                if child_level == L - 1:
-                    return True
-                stack.append((child_level, cv, ch))
-    return False
+    return theta_k_from_front(alive_front(params, k).values, params.dim, k)
 
 
 @dataclass(frozen=True)
@@ -174,20 +182,17 @@ def tree_existence_mc(
 ) -> ExistenceEstimate:
     """Monte Carlo estimate of P^x(Theta >= 1) over derived replica seeds.
 
-    Realizations that exhaust the budget are excluded from the estimate
-    and reported in budget_hits, never counted as zero.
+    Realizations that exhaust the budget over the full walk are excluded
+    from the estimate and reported in budget_hits, never counted as zero.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    hits = 0
-    budget_hits = 0
-    for r in range(samples):
-        params = TreeParams(L, x, derive_seed(seed, r), budget)
-        try:
-            if _has_open_path(params):
-                hits += 1
-        except BudgetExceededError:
-            budget_hits += 1
+    hits = budget_hits = 0
+    for a, b in replica_blocks(L, x, 0, samples):
+        seeds = np.array([derive_seed(seed, r) for r in range(a, b)], dtype=np.uint64)
+        values, _, owner, over_at = _walk(seeds, L, x, L - 1, budget)
+        hits += len(np.unique(owner[values < 1.0]))
+        budget_hits += int(np.count_nonzero(over_at))
     n_eff = samples - budget_hits
     if n_eff == 0:
         return ExistenceEstimate(float("nan"), float("nan"), budget_hits, samples)
@@ -199,7 +204,7 @@ def tree_existence_mc(
 def enumerate_tree_paths_oracle(params: TreeParams) -> int:
     """Reference count: walk all L! root-leaf paths on the replayed value
     stream and count the strictly increasing ones.  Values are recomputed
-    from the same digest scheme the DFS uses, so both see one realization.
+    from the same digest scheme the engine uses, so both see one realization.
     """
     L = params.dim
     if L > 8:

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from pathscape import cli
+from pathscape.parallel import ENV_THREADS, resolve_threads
 
 
 def _run(capsys, *argv):
@@ -66,6 +67,52 @@ def test_budget_exhaustion_exits_3(capsys):
     assert code == 3
     assert records == []
     assert json.loads(err.splitlines()[-1])["error"] == "budget"
+
+
+def test_tree_exists_all_over_budget_exits_3(capsys):
+    code, records, err = _run(
+        capsys, "tree", "exists", "--dim", "12", "--x", "0", "--samples", "5", "--budget", "10"
+    )
+    assert code == 3
+    assert records == []
+    assert json.loads(err.splitlines()[-1])["error"] == "budget"
+
+
+def test_records_refuse_non_finite_values():
+    rec = cli.ExperimentRecord("c", {}, None, None, {"estimate": math.nan}, 0.0)
+    with pytest.raises(ValueError):
+        rec.to_json()
+
+
+def test_bad_thread_flag_exits_2(capsys):
+    code, records, err = _run(capsys, "tree", "sample", "--dim", "4", "--threads", "0")
+    assert code == 2
+    assert records == []
+    assert json.loads(err.splitlines()[-1])["error"] == "parameters"
+
+
+def test_bad_thread_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv(ENV_THREADS, "abc")
+    code, records, err = _run(capsys, "tree", "sample", "--dim", "4")
+    assert code == 2
+    assert records == []
+    assert json.loads(err.splitlines()[-1])["error"] == "parameters"
+
+
+@pytest.mark.parametrize("threads, env", [(0, None), (-2, None), (None, "abc"), (None, "0")])
+def test_resolve_threads_rejects_bad_counts(monkeypatch, threads, env):
+    if env is not None:
+        monkeypatch.setenv(ENV_THREADS, env)
+    with pytest.raises(ValueError):
+        resolve_threads(threads)
+
+
+def test_resolve_threads_defaults(monkeypatch):
+    monkeypatch.delenv(ENV_THREADS, raising=False)
+    assert resolve_threads(None) == 1
+    assert resolve_threads(3) == 3
+    monkeypatch.setenv(ENV_THREADS, "2")
+    assert resolve_threads(None) == 2
 
 
 def test_deterministic_rerun_is_byte_identical(capsys):
