@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__, cascade, hypercube, mc, moments, recursion, stats, tree, verify
+from . import __version__, cascade, mc, moments, recursion, stats, tree, verify
 from .parallel import ENV_THREADS, resolve_threads
 from .rng import PHILOX_TAG, SPLITMIX_TAG, derive_seed
 
@@ -136,21 +136,19 @@ def _summary(values) -> dict:
 def _cmd_hypercube(args):
     x, regime = _resolve_x(args)
     if args.action == "count":
-        if args.samples == 1:
-            land = hypercube.generate_hypercube(args.dim, x, args.seed)
-            return {"theta": hypercube.count_open_paths(land)}, PHILOX_TAG
         thetas = mc.hypercube_theta_batch(
             args.dim, x, args.seed, args.samples, threads=args.threads
         )
+        if args.samples == 1:
+            return {"theta": int(thetas[0])}, PHILOX_TAG
         return _summary(thetas.astype(float)), PHILOX_TAG
     if args.action == "exists":
-        hits = 0
-        for r in range(args.samples):
-            land = hypercube.generate_hypercube(args.dim, x, args.seed, replica=r)
-            hits += bool(hypercube.path_exists(land))
+        hits = mc.hypercube_exists_batch(
+            args.dim, x, args.seed, args.samples, threads=args.threads
+        )
         if args.samples == 1:
-            return {"exists": bool(hits)}, PHILOX_TAG
-        p = hits / args.samples
+            return {"exists": bool(hits[0])}, PHILOX_TAG
+        p = int(hits.sum()) / args.samples
         se = math.sqrt(p * (1.0 - p) / args.samples)
         return {"estimate": p, "stderr": se, "n": args.samples}, PHILOX_TAG
     # thetak
@@ -189,6 +187,8 @@ def _cmd_tree(args):
 
 def _cmd_moments(args):
     a = args.action
+    if a != "bn" and args.dim is None:
+        raise ValueError(f"moments {a} requires --dim")
     if a == "first":
         x, _ = _resolve_x(args)
         return {"mean": moments.expected_paths(args.dim, x)}, None
@@ -395,6 +395,8 @@ def run(argv=None) -> int:
 
     try:
         resolve_threads(args.threads)  # a bad --threads or $PATHSCAPE_THREADS exits 2
+        if getattr(args, "samples", 1) < 1:
+            raise ValueError(f"--samples must be >= 1, got {args.samples}")
         if args.group == "verify":
             code = _cmd_verify(args, records, t0)
         else:

@@ -5,7 +5,8 @@ goes from 0...0 (value x) to 1...1 (value 1) flipping one 0 into a 1 per
 step, and is *open* when the node values strictly increase along it.
 Counting is a level-by-level dynamic program over bitmasks: the number of
 open paths into a node is the sum over its one-bit-lower predecessors
-with strictly smaller value.
+with strictly smaller value.  Counts to the top corner run the same DP
+on the reflected cube, and existence runs it on booleans.
 
 Ties in fitness are treated as blocking (strict inequality), a
 probability-zero event under the continuous model but deterministic.
@@ -115,73 +116,56 @@ def _preds(L: int, k: int) -> np.ndarray:
     return out
 
 
-def _counts_from_origin(land: HypercubeLandscape, k_max: int) -> list[np.ndarray]:
-    """Per-level open-prefix counts n_sigma for levels 0..k_max."""
-    L = land.dim
+def _open_edges(f: np.ndarray, L: int, k: int):
+    """Predecessor indices of level k and the mask of its open edges.
+
+    The edge from a predecessor into a level-k node is open when the value
+    strictly increases along it; ties block.
+    """
     masks, _ = _masks_and_pos(L)
-    f = land.fitness
+    pr = _preds(L, k)
+    return pr, f[masks[k - 1]][pr] < f[masks[k]][:, None]
+
+
+def _counts_from_origin(f: np.ndarray, L: int, k_max: int) -> list[np.ndarray]:
+    """Per-level open-prefix counts n_sigma for levels 0..k_max."""
     levels = [np.ones(1, dtype=np.int64)]
     for k in range(1, k_max + 1):
-        if levels[-1].max() > _I64_MAX // max(k, 1):
+        if levels[-1].max() > _I64_MAX // k:
             raise PathCountOverflowError(f"path count overflow at level {k}")
-        pr = _preds(L, k)
-        open_edge = f[masks[k - 1]][pr] < f[masks[k]][:, None]
+        pr, open_edge = _open_edges(f, L, k)
         levels.append(np.where(open_edge, levels[-1][pr], 0).sum(axis=1))
     return levels
 
 
-def _counts_from_top(land: HypercubeLandscape, k_steps: int) -> list[np.ndarray]:
-    """Counts m_tau of open paths from each node to 1...1, for the top
-    k_steps levels (returned bottom-up: index j holds level L-j)."""
-    L = land.dim
-    masks, _ = _masks_and_pos(L)
-    f = land.fitness
-    levels = [np.ones(1, dtype=np.int64)]
-    for j in range(1, k_steps + 1):
-        k = L - j + 1  # level whose predecessors we scatter into
-        if levels[-1].max() > _I64_MAX // max(k, 1):
-            raise PathCountOverflowError(f"path count overflow {j} below top")
-        pr = _preds(L, k)
-        open_edge = f[masks[k - 1]][pr] < f[masks[k]][:, None]
-        m = np.zeros(len(masks[k - 1]), dtype=np.int64)
-        np.add.at(
-            m,
-            pr[open_edge],
-            np.broadcast_to(levels[-1][:, None], pr.shape)[open_edge],
-        )
-        levels.append(m)
-    return levels
+def _counts_to_top(f: np.ndarray, L: int, k: int) -> np.ndarray:
+    """Counts m_tau of open paths from each level-(L-k) node to 1...1.
+
+    Reversing a path and negating every value maps these onto origin
+    counts of the reflected cube g[mask] = -f[full ^ mask].  Since
+    full ^ mask = full - mask, the reflection reverses the index order,
+    both of the fitness array and of each level.  Negation is exact, so
+    the reflected cube has exactly the ties of f (1 - f would round).
+    """
+    return _counts_from_origin(-f[::-1], L, k)[-1][::-1]
 
 
 def count_open_paths(land: HypercubeLandscape) -> int:
     """Exact number of open paths from 0...0 to 1...1 (checked 64-bit)."""
-    theta = int(_counts_from_origin(land, land.dim)[-1][0])
-    return theta
+    return int(_counts_from_origin(land.fitness, land.dim, land.dim)[-1][0])
 
 
 def path_exists(land: HypercubeLandscape) -> bool:
-    """True iff at least one open path exists; short-circuits on the first
-    full path found (DFS with a dead-node memo)."""
+    """True iff at least one open path exists: the counting sweep on
+    booleans (reachable by an open path), which cannot overflow."""
     L = land.dim
-    f = land.fitness
-    full = (1 << L) - 1
-    dead: set[int] = set()
-
-    def dfs(mask: int) -> bool:
-        if mask == full:
-            return True
-        fm = f[mask]
-        rest = ~mask & full
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            nxt = mask | bit
-            if nxt not in dead and f[nxt] > fm and dfs(nxt):
-                return True
-        dead.add(mask)
-        return False
-
-    return dfs(0)
+    reach = np.ones(1, dtype=bool)
+    for k in range(1, L + 1):
+        pr, open_edge = _open_edges(land.fitness, L, k)
+        reach = (open_edge & reach[pr]).any(axis=1)
+        if not reach.any():
+            return False
+    return True
 
 
 def level_counts(land: HypercubeLandscape, k: int, from_top: bool = False) -> LevelCounts:
@@ -191,9 +175,9 @@ def level_counts(land: HypercubeLandscape, k: int, from_top: bool = False) -> Le
         raise ValueError(f"level must be in [0, {L}], got {k}")
     masks, _ = _masks_and_pos(L)
     if from_top:
-        counts = _counts_from_top(land, k)[-1]
+        counts = _counts_to_top(land.fitness, L, k)
         return LevelCounts(level=k, from_top=True, masks=masks[L - k], counts=counts)
-    counts = _counts_from_origin(land, k)[-1]
+    counts = _counts_from_origin(land.fitness, L, k)[-1]
     return LevelCounts(level=k, from_top=False, masks=masks[k], counts=counts)
 
 
@@ -209,8 +193,8 @@ def theta_k_hypercube(land: HypercubeLandscape, k: int) -> float:
     if not 0 <= 2 * k < L:
         raise ValueError(f"need 0 <= 2k < L, got k={k}, L={L}")
     masks, _ = _masks_and_pos(L)
-    n = _counts_from_origin(land, k)[-1].astype(float)
-    m = _counts_from_top(land, k)[-1].astype(float)
+    n = _counts_from_origin(land.fitness, L, k)[-1].astype(float)
+    m = _counts_to_top(land.fitness, L, k).astype(float)
     sig = masks[k]
     tau = masks[L - k]
     xs = land.fitness[sig]
@@ -233,8 +217,8 @@ def theta_k_factorized(land: HypercubeLandscape, k: int) -> float:
     if not 0 <= 2 * k < L:
         raise ValueError(f"need 0 <= 2k < L, got k={k}, L={L}")
     masks, _ = _masks_and_pos(L)
-    n = _counts_from_origin(land, k)[-1].astype(float)
-    m = _counts_from_top(land, k)[-1].astype(float)
+    n = _counts_from_origin(land.fitness, L, k)[-1].astype(float)
+    m = _counts_to_top(land.fitness, L, k).astype(float)
     xs = land.fitness[masks[k]]
     ys = 1.0 - land.fitness[masks[L - k]]
     e = L - 2 * k - 1

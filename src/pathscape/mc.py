@@ -18,28 +18,19 @@ from .parallel import map_replicas
 from .rng import derive_seed
 
 
-def _hypercube_theta_chunk(L, x, seed, start, stop):
-    out = np.empty(stop - start, dtype=np.int64)
+def _cube_chunk(fn, dtype, L, x, seed, args, start, stop):
+    """fn(landscape, *args) for each replica in range(start, stop)."""
+    out = np.empty(stop - start, dtype=dtype)
     for i, r in enumerate(range(start, stop)):
-        land = hypercube.generate_hypercube(L, x, seed, replica=r)
-        out[i] = hypercube.count_open_paths(land)
+        out[i] = fn(hypercube.generate_hypercube(L, x, seed, replica=r), *args)
     return out
 
 
 def hypercube_theta_batch(
     L: int, x: float, seed: int, samples: int, threads: int | None = None
 ) -> np.ndarray:
-    worker = partial(_hypercube_theta_chunk, L, x, seed)
+    worker = partial(_cube_chunk, hypercube.count_open_paths, np.int64, L, x, seed, ())
     return map_replicas(worker, samples, threads)
-
-
-def _hypercube_theta_k_chunk(L, x, seed, k, factorized, start, stop):
-    fn = hypercube.theta_k_factorized if factorized else hypercube.theta_k_hypercube
-    out = np.empty(stop - start)
-    for i, r in enumerate(range(start, stop)):
-        land = hypercube.generate_hypercube(L, x, seed, replica=r)
-        out[i] = fn(land, k)
-    return out
 
 
 def hypercube_theta_k_batch(
@@ -51,7 +42,15 @@ def hypercube_theta_k_batch(
     factorized: bool = False,
     threads: int | None = None,
 ) -> np.ndarray:
-    worker = partial(_hypercube_theta_k_chunk, L, x, seed, k, factorized)
+    fn = hypercube.theta_k_factorized if factorized else hypercube.theta_k_hypercube
+    worker = partial(_cube_chunk, fn, np.float64, L, x, seed, (k,))
+    return map_replicas(worker, samples, threads)
+
+
+def hypercube_exists_batch(
+    L: int, x: float, seed: int, samples: int, threads: int | None = None
+) -> np.ndarray:
+    worker = partial(_cube_chunk, hypercube.path_exists, bool, L, x, seed, ())
     return map_replicas(worker, samples, threads)
 
 

@@ -225,6 +225,8 @@ def delta_bound_check(
     k_max: int, z_max: float, grid_n: int, z_min: float = 0.25, tolerance: float = 1e-2
 ) -> DeltaBoundReport:
     """Evaluate the delta_k envelope numerically and report violations."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     zs = np.linspace(0.0, z_max, grid_n + 1)
     sel = zs >= z_min
     z = zs[sel]

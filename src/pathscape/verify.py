@@ -588,8 +588,6 @@ BATTERIES = {
     "moments": [check_closed_form_limits, check_a_coeff_facts, check_indecomposable],
 }
 
-ORACLE_CHECKS = [check_hypercube_oracle, check_tree_oracle]
-
 
 def run_battery(name: str, seed: int = DEFAULT_SEED, scale: float = 1.0, threads=None):
     if name not in BATTERIES:

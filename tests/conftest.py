@@ -7,9 +7,9 @@ gate never redraw the same replicas.
 import numpy as np
 import pytest
 
-from pathscape import mc
+from pathscape import mc, verify
 
-MASTER_SEED = 20260823
+MASTER_SEED = verify.DEFAULT_SEED
 
 
 @pytest.fixture(scope="session")

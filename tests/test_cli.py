@@ -10,10 +10,20 @@ from pathscape import cli
 from pathscape.parallel import ENV_THREADS, resolve_threads
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-strict JSON constant {name} on stdout")
+
+
 def _run(capsys, *argv):
-    code = cli.run(list(argv))
+    """Exit code, strictly parsed stdout records and stderr of one run."""
+    try:
+        code = cli.run(list(argv))
+    except SystemExit as exc:  # argparse errors
+        code = exc.code
     captured = capsys.readouterr()
-    records = [json.loads(line) for line in captured.out.splitlines()]
+    records = [
+        json.loads(line, parse_constant=_refuse_constant) for line in captured.out.splitlines()
+    ]
     return code, records, captured.err
 
 
@@ -76,6 +86,34 @@ def test_tree_exists_all_over_budget_exits_3(capsys):
     assert code == 3
     assert records == []
     assert json.loads(err.splitlines()[-1])["error"] == "budget"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "first", "--x", "0.1"],
+        ["moments", "limits", "--X-scaled", "1"],
+        ["recursion", "delta-check", "--k", "-1"],
+        ["hypercube", "count", "--x", "0.1"],
+        ["hypercube", "exists", "--dim", "6", "--samples", "0"],
+        ["tree", "thetak", "--dim", "6", "--samples", "0"],
+    ],
+    ids=["no-dim", "limits-no-dim", "negative-k", "missing-required", "zero-samples",
+         "tree-zero-samples"],
+)
+def test_bad_invocation_exits_2_with_json_error(capsys, argv):
+    code, records, err = _run(capsys, *argv)
+    assert code == 2
+    assert records == []
+    assert json.loads(err.splitlines()[-1])["error"] == "parameters"
+
+
+def test_hypercube_exists_independent_of_threads(capsys):
+    argv = ["hypercube", "exists", "--dim", "8", "--x", "0.05", "--samples", "20"]
+    _, one, _ = _run(capsys, *argv, "--threads", "1")
+    _, two, _ = _run(capsys, *argv, "--threads", "2")
+    assert one[0]["stats"] == two[0]["stats"]
+    assert one[0]["stats"]["n"] == 20
 
 
 def test_records_refuse_non_finite_values():

@@ -1,5 +1,6 @@
 """Hypercube landscape generation and exact open-path counting."""
 
+import hashlib
 import itertools
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathscape import hypercube, moments, stats
+from pathscape import mc, moments, stats
 from pathscape.hypercube import (
     HypercubeLandscape,
     count_open_paths,
@@ -102,10 +103,50 @@ def test_symmetry_under_coordinate_relabeling():
         assert count_open_paths(_landscape(relabeled)) == count_open_paths(land)
 
 
+def _tied(land: HypercubeLandscape) -> HypercubeLandscape:
+    """The landscape with its values rounded to quarters: many exact ties."""
+    f = np.round(land.fitness * 4) / 4
+    f[-1] = 1.0
+    return _landscape(f)
+
+
 def test_path_exists_matches_count():
     for r in range(50):
         land = generate_hypercube(6, 0.4, SEED, replica=r)
         assert path_exists(land) == (count_open_paths(land) > 0)
+        tied = _tied(generate_hypercube(7, 0.0, SEED, replica=r))
+        assert path_exists(tied) == (count_open_paths(tied) > 0)
+        # nothing rises above an origin value of 1
+        top = generate_hypercube(5, 1.0, SEED, replica=r)
+        assert not path_exists(top)
+        assert count_open_paths(top) == 0
+
+
+def _counts_to_top_oracle(land: HypercubeLandscape, tau: int) -> int:
+    """Open paths from tau up to 1...1, by trying every order of its 0 bits."""
+    f = land.fitness
+    zeros = [b for b in range(land.dim) if not (tau >> b) & 1]
+    total = 0
+    for order in itertools.permutations(zeros):
+        mask = tau
+        for bit in order:
+            if not f[mask | (1 << bit)] > f[mask]:
+                break
+            mask |= 1 << bit
+        else:
+            total += 1
+    return total
+
+
+@pytest.mark.parametrize("L", range(2, 7))
+def test_counts_from_top_against_enumeration(L):
+    for r in range(6):
+        raw = generate_hypercube(L, 0.2, SEED, replica=r)
+        for land in (raw, _tied(raw)):
+            for k in range(L + 1):
+                lc = level_counts(land, k, from_top=True)
+                for tau, m in zip(lc.masks.tolist(), lc.counts.tolist()):
+                    assert m == _counts_to_top_oracle(land, tau)
 
 
 def test_level_counts_invariants():
@@ -211,3 +252,39 @@ def test_sorted_by_level_gives_all_paths_open():
     L = 3
     f = np.array([0.0, 0.1, 0.12, 0.5, 0.14, 0.6, 0.7, 1.0])
     assert count_open_paths(_landscape(f)) == 6
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+# Digests recorded from the separate top-corner DP (np.add.at scatter) that
+# preceded the reflected-cube call; seeded output must stay bit-exact.
+@pytest.mark.parametrize(
+    "factorized, expect",
+    [
+        (False, "66074e53ccfb2307502e7dcdb092ea3508c450b483ccd2356c2d148a9e1cd3a9"),
+        (True, "5a03a28a70bf04c5cab7d291916cf988bb0bc4a346b519ae5292c5a6997248c1"),
+    ],
+)
+def test_golden_theta_k_batch(master_seed, factorized, expect):
+    vals = mc.hypercube_theta_k_batch(12, 0.1, 3, master_seed, 300, factorized=factorized)
+    assert vals.dtype == np.float64
+    assert _digest(vals) == expect
+
+
+def test_golden_counts_from_top(master_seed):
+    h = hashlib.sha256()
+    for L in range(2, 11):
+        land = generate_hypercube(L, 0.1, master_seed, replica=L)
+        for k in range(L + 1):
+            counts = level_counts(land, k, from_top=True).counts
+            assert counts.dtype == np.int64
+            h.update(np.ascontiguousarray(counts).tobytes())
+    assert h.hexdigest() == "770cf484ecc4b145b377f8f0943e71d8ebc1067c6eca9b26cb80515a60fa4998"
+
+
+def test_exists_batch_matches_theta_batch():
+    hits = mc.hypercube_exists_batch(8, 0.05, SEED, 60)
+    assert hits.dtype == bool
+    assert np.array_equal(hits, mc.hypercube_theta_batch(8, 0.05, SEED, 60) > 0)

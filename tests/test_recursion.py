@@ -141,3 +141,8 @@ def test_delta_envelope():
     assert report.M == pytest.approx(1.42883, abs=1e-4)
     assert report.max_upper_excess <= report.tolerance
     assert report.max_lower_excess <= report.tolerance
+
+
+def test_delta_bound_check_rejects_negative_k():
+    with pytest.raises(ValueError, match="k_max"):
+        delta_bound_check(-1, 10.0, 2**8)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import kv
 
 from pathscape import stats
@@ -37,6 +38,38 @@ def test_prodexp_against_bessel_closed_form():
     assert prodexp_survival(0.0) == 1.0
     with pytest.raises(ValueError):
         prodexp_survival(-1.0)
+
+
+def _survival_by_quadrature(z: float) -> float:
+    """Oracle: int_0^inf exp(-t - z/t) dt, split at the integrand peak sqrt(z)."""
+    peak = math.sqrt(z)
+
+    def f(t):
+        return math.exp(-t - z / t)
+
+    left, _ = quad(f, 0.0, peak, epsabs=1e-10, epsrel=1e-10)
+    right, _ = quad(f, peak, math.inf, epsabs=1e-10, epsrel=1e-10)
+    return left + right
+
+
+def test_prodexp_matches_quadrature_oracle():
+    zs = np.concatenate([[0.0], np.logspace(-12, 2.5, 200)])  # up to 316
+    got = prodexp_survival(zs)
+    assert got.shape == zs.shape
+    assert got[0] == 1.0
+    expect = np.array([_survival_by_quadrature(z) for z in zs[1:]])
+    assert np.abs(got[1:] - expect).max() <= 1e-8
+    # the array call agrees with scalar calls, and the CDF is its complement
+    assert [prodexp_survival(z) for z in zs[::20]] == got[::20].tolist()
+    assert np.array_equal(prodexp_cdf(zs), 1.0 - got)
+    with pytest.raises(ValueError):
+        prodexp_survival(np.array([1.0, -1e-300]))
+
+
+def test_product_law_cdf_is_zero_below_zero():
+    cdf = product_exponential_law(2.0).cdf
+    z = np.array([-1.0, 0.0, 2.0])
+    assert cdf(z).tolist() == [0.0, 0.0, prodexp_cdf(1.0)]
 
 
 def test_prodexp_cdf_monotone():
