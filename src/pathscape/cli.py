@@ -238,22 +238,29 @@ def _cmd_moments(args):
     return {"bound": moments.pstar_upper_bound(args.dim)}, None
 
 
+def _at(gf: recursion.GridFunction, at: float) -> float:
+    # np.interp would clamp a point off the grid to the end value
+    if not gf.a <= at <= gf.b:
+        raise ValueError(f"--at {at} is outside the grid [{gf.a}, {gf.b}]")
+    return float(gf(at))
+
+
 def _cmd_recursion(args):
     a = args.action
     if a == "gf":
         gf = recursion.tree_gf(args.mu, args.levels, args.grid)
-        return {"G": float(gf(args.at)), "at": args.at}, None
+        return {"G": _at(gf, args.at), "at": args.at}, None
     if a == "pexist":
         gf = recursion.existence_prob(args.levels, args.grid)
         return {
-            "p": float(gf(args.at)),
+            "p": _at(gf, args.at),
             "at": args.at,
             "p_star": float(np.trapezoid(gf.values, dx=gf.step)),
         }, None
     if a == "fk":
         gf = recursion.fk_iterate(args.k, args.zmax, args.grid)
         sup = float(np.abs(gf.values - 1.0 / (1.0 + gf.xs)).max())
-        return {"F_k": float(gf(args.at)), "at": args.at, "sup_gap_to_limit": sup}, None
+        return {"F_k": _at(gf, args.at), "at": args.at, "sup_gap_to_limit": sup}, None
     # delta-check
     report = recursion.delta_bound_check(args.k, args.zmax, args.grid)
     return asdict(report) | {"ok": report.ok}, None

@@ -97,9 +97,12 @@ def test_tree_exists_all_over_budget_exits_3(capsys):
         ["hypercube", "count", "--x", "0.1"],
         ["hypercube", "exists", "--dim", "6", "--samples", "0"],
         ["tree", "thetak", "--dim", "6", "--samples", "0"],
+        ["recursion", "delta-check", "--zmax", "0.1", "--grid", "128"],
+        ["recursion", "gf", "--mu", "1", "--levels", "3", "--grid", "128", "--at", "2"],
+        ["recursion", "pexist", "--levels", "3", "--grid", "128", "--at", "-1"],
     ],
     ids=["no-dim", "limits-no-dim", "negative-k", "missing-required", "zero-samples",
-         "tree-zero-samples"],
+         "tree-zero-samples", "zmax-below-zmin", "gf-at-above-grid", "pexist-at-below-grid"],
 )
 def test_bad_invocation_exits_2_with_json_error(capsys, argv):
     code, records, err = _run(capsys, *argv)

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from pathscape import recursion
+from pathscape.recursion import _segment_integrals
 from pathscape.recursion import (
     GridFunction,
     delta_bound_check,
@@ -16,6 +17,90 @@ from pathscape.recursion import (
     p_star,
     tree_gf,
 )
+
+
+# --- full-grid oracle for the windowed deficit sweeps ---------------------
+#
+# These are the sweep loops as they stood before the window: every sweep
+# integrates and updates the whole grid, then overwrites the points whose
+# closed-form tail log is below _TAIL_GRAFT_LOG.  The kernel must match
+# them bit for bit.
+
+
+def _suffix_integral_full(values, h):
+    seg = _segment_integrals(values, h)
+    out = np.empty_like(values)
+    out[-1] = 0.0
+    out[:-1] = np.cumsum(seg[::-1])[::-1]
+    return out
+
+
+def _tree_gf_full(lam, L, grid_n):
+    h = 1.0 / grid_n
+    xs = np.linspace(0.0, 1.0, grid_n + 1)
+    c = -math.expm1(-lam) / lam
+    with np.errstate(divide="ignore"):
+        log1mx = np.log1p(-xs)
+    d = np.full(grid_n + 1, lam * c)
+    for size in range(2, L + 1):
+        D = _suffix_integral_full(d, h)
+        np.clip(D, 0.0, 1.0, out=D)
+        with np.errstate(divide="ignore"):
+            d = -np.expm1(size * np.log1p(-D))
+        with np.errstate(invalid="ignore"):
+            log_tail = math.log(c * lam * size) + (size - 1) * log1mx
+        graft = log_tail < recursion._TAIL_GRAFT_LOG
+        d[graft] = np.exp(log_tail[graft])
+    return 1.0 - d
+
+
+def _existence_prob_full(L, grid_n):
+    h = 1.0 / grid_n
+    xs = np.linspace(0.0, 1.0, grid_n + 1)
+    with np.errstate(divide="ignore"):
+        log1mx = np.log1p(-xs)
+    p = np.ones(grid_n + 1)
+    for size in range(2, L + 1):
+        s = _suffix_integral_full(p, h)
+        np.clip(s, 0.0, 1.0, out=s)
+        with np.errstate(divide="ignore"):
+            p = -np.expm1(size * np.log1p(-s))
+        with np.errstate(invalid="ignore"):
+            log_tail = math.log(size) + (size - 1) * log1mx
+        graft = log_tail < recursion._TAIL_GRAFT_LOG
+        p[graft] = np.exp(log_tail[graft])
+    return p
+
+
+# (2, 64) and (50, 2^10) only take the full-grid branch of the kernel.
+# In the others the window first ends inside the grid at size 66-71, and
+# the integrated slice from size 97-106 on.
+_ORACLE_CASES = [(2, 64), (50, 2**10), (575, 2**12), (700, 2**12), (2000, 2**13)]
+
+
+@pytest.mark.parametrize("L, grid_n", _ORACLE_CASES)
+def test_existence_prob_matches_full_grid_oracle(L, grid_n):
+    assert np.array_equal(existence_prob(L, grid_n).values, _existence_prob_full(L, grid_n))
+
+
+@pytest.mark.parametrize("L, grid_n", _ORACLE_CASES)
+@pytest.mark.parametrize("lam_kind", ["1/L", "1", "50"])
+def test_tree_gf_matches_full_grid_oracle(L, grid_n, lam_kind):
+    lam = {"1/L": 1.0 / L, "1": 1.0, "50": 50.0}[lam_kind]
+    assert np.array_equal(tree_gf(lam, L, grid_n).values, _tree_gf_full(lam, L, grid_n))
+
+
+def test_tree_gf_empty_window_matches_full_grid_oracle():
+    # lam so small that log(c*lam*size) < _TAIL_GRAFT_LOG: no sweep has a
+    # window, the whole grid is the closed-form tail
+    for lam, L in ((1e-300, 30), (1e-260, 300)):
+        assert np.array_equal(tree_gf(lam, L, 2**10).values, _tree_gf_full(lam, L, 2**10))
+
+
+def test_golden_sweeps():
+    # repr of the values the full-grid loops gave before the window
+    assert repr(p_star(2000, 2**14)) == "0.003792486076961011"
+    assert repr(float(tree_gf(1 / 2000, 2000, 2**14)(0.0))) == "0.5005859264552406"
 
 
 def test_grid_function_validation():
@@ -146,3 +231,31 @@ def test_delta_envelope():
 def test_delta_bound_check_rejects_negative_k():
     with pytest.raises(ValueError, match="k_max"):
         delta_bound_check(-1, 10.0, 2**8)
+
+
+def test_delta_bound_check_rejects_z_max_below_z_min():
+    with pytest.raises(ValueError, match="z_max.*z_min"):
+        delta_bound_check(3, 0.1, 2**8)
+
+
+def test_golden_delta_bound_check():
+    # values from the loop that restarted fk_iterate for every k
+    report = delta_bound_check(12, 10.0, 2**14)
+    assert repr(report.M) == "1.4288256911821728"
+    assert repr(report.max_upper_excess) == "0.0"
+    assert repr(report.max_lower_excess) == "-0.5010197510766436"
+    assert report.violations == []
+
+
+def test_delta_bound_check_sees_each_fk_iterate():
+    # the single-pass loop evaluates the same F_k as fk_iterate(k, ...)
+    zs = np.linspace(0.0, 4.0, 2**8 + 1)
+    z = zs[zs >= 0.25]
+    amp = (1.0 + z) ** 3 / z**2
+    for k_max in (0, 1, 4):
+        last = fk_iterate(k_max, 4.0, 2**8).values[zs >= 0.25]
+        delta = 2.0**k_max * amp * (1.0 / (1.0 + z) - last)
+        report = delta_bound_check(k_max, 4.0, 2**8, tolerance=-1.0)
+        assert report.violations[-1]["k"] == k_max
+        idx = int(np.argmax(np.maximum(delta - report.M, -delta)))
+        assert report.violations[-1]["delta"] == float(delta[idx])
