@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__, cascade, mc, moments, recursion, stats, tree, verify
+from . import __version__, cascade, hypercube, mc, moments, recursion, stats, tree, verify
 from .parallel import ENV_THREADS, resolve_threads
 from .rng import PHILOX_TAG, SPLITMIX_TAG, derive_seed
 
@@ -421,7 +421,7 @@ def run(argv=None) -> int:
             code = EXIT_OK
         # strict JSON: a non-finite value is refused here, never printed
         lines = [rec.to_json() for rec in records]
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, hypercube.PathCountOverflowError) as exc:
         print(json.dumps({"error": "parameters", "message": str(exc)}), file=sys.stderr)
         return EXIT_PARAMS
     except tree.BudgetExceededError as exc:

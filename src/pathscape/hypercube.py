@@ -3,10 +3,13 @@
 Nodes are bitmask integers; the level of a node is its popcount.  A path
 goes from 0...0 (value x) to 1...1 (value 1) flipping one 0 into a 1 per
 step, and is *open* when the node values strictly increase along it.
-Counting is a level-by-level dynamic program over bitmasks: the number of
-open paths into a node is the sum over its one-bit-lower predecessors
-with strictly smaller value.  Counts to the top corner run the same DP
-on the reflected cube, and existence runs it on booleans.
+Counting is a level-by-level dynamic program: the number of open paths
+into a node is the sum over its one-bit-lower predecessors with strictly
+smaller value.  It runs on the values gathered once into level order,
+with one cached, read-only (k, C(L, k)) table of predecessor positions
+per level k: L * 2^(L-1) * 8 bytes in all, 80 MiB at L = 20.  Counts to
+the top corner run the same DP on the reflected cube, and existence runs
+it on booleans.
 
 Ties in fitness are treated as blocking (strict inequality), a
 probability-zero event under the continuous model but deterministic.
@@ -15,6 +18,7 @@ probability-zero event under the continuous model but deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,61 +85,65 @@ def generate_hypercube(
     return HypercubeLandscape(dim=L, origin_value=x, fitness=fitness)
 
 
-def _popcounts(masks: np.ndarray) -> np.ndarray:
-    v = masks.astype(np.int64)
-    out = np.zeros_like(v)
-    while v.any():
-        out += v & 1
-        v >>= 1
-    return out
+@lru_cache(maxsize=4)
+def _level_tables(L: int):
+    """Node ids in level order, level offsets and predecessor tables.
+
+    ``order[off[k]:off[k + 1]]`` are the level-k masks, ascending; row j of
+    the C-contiguous (k, C(L, k)) table ``preds[k]`` holds the position in
+    level k-1 of each of them with its j-th lowest set bit cleared.  Pascal
+    recursion: level k of the (h+1)-cube is level k of the h-cube, then
+    level k-1 of the h-cube with bit h set, so the block of nodes with top
+    bit h is filled from a prefix of the finished level k-1 and no table is
+    built twice.  All arrays are read-only: the cache shares them.
+    """
+    off = (0, *itertools.accumulate(math.comb(L, k) for k in range(L + 1)))
+    order = np.zeros(1 << L, dtype=np.int64)
+    preds = [np.empty((0, 1), dtype=np.intp)]
+    for k in range(1, L + 1):
+        prev, cur = order[off[k - 1] : off[k]], order[off[k] : off[k + 1]]
+        t = np.empty((k, len(cur)), dtype=np.intp)
+        for h in range(k - 1, L):
+            b = math.comb(h, k - 1)  # level k-1 nodes below bit h
+            block = slice(math.comb(h, k), math.comb(h + 1, k))
+            np.add(prev[:b], 1 << h, out=cur[block])
+            np.add(preds[k - 1][:, :b], b, out=t[: k - 1, block])
+            t[k - 1, block] = np.arange(b)
+        preds.append(t)
+    for arr in (order, *preds):
+        arr.setflags(write=False)
+    return order, off, tuple(preds)
 
 
-@lru_cache(maxsize=8)
-def _masks_and_pos(L: int):
-    """Masks grouped by level plus a rank-within-level lookup table."""
-    all_masks = np.arange(1 << L, dtype=np.int64)
-    pc = _popcounts(all_masks)
-    masks = [all_masks[pc == k] for k in range(L + 1)]
-    pos = np.empty(1 << L, dtype=np.int64)
-    for k in range(L + 1):
-        pos[masks[k]] = np.arange(len(masks[k]))
-    return masks, pos
+def _level_masks(L: int, k: int) -> np.ndarray:
+    """The level-k masks, ascending: a read-only view of the cached order."""
+    order, off, _ = _level_tables(L)
+    return order[off[k] : off[k + 1]]
 
 
-@lru_cache(maxsize=64)
-def _preds(L: int, k: int) -> np.ndarray:
-    """Indices (into level k-1) of the k predecessors of each level-k node."""
-    masks, pos = _masks_and_pos(L)
-    mk = masks[k]
-    out = np.empty((len(mk), k), dtype=np.int64)
-    col = np.zeros(len(mk), dtype=np.int64)
-    for b in range(L):
-        rows = np.nonzero((mk >> b) & 1)[0]
-        out[rows, col[rows]] = pos[mk[rows] ^ (1 << b)]
-        col[rows] += 1
-    return out
-
-
-def _open_edges(f: np.ndarray, L: int, k: int):
-    """Predecessor indices of level k and the mask of its open edges.
+def _open_edges(f: np.ndarray, L: int, k_max: int):
+    """For k = 1..k_max, the predecessor table of level k and its open edges.
 
     The edge from a predecessor into a level-k node is open when the value
     strictly increases along it; ties block.
     """
-    masks, _ = _masks_and_pos(L)
-    pr = _preds(L, k)
-    return pr, f[masks[k - 1]][pr] < f[masks[k]][:, None]
-
-
-def _counts_from_origin(f: np.ndarray, L: int, k_max: int) -> list[np.ndarray]:
-    """Per-level open-prefix counts n_sigma for levels 0..k_max."""
-    levels = [np.ones(1, dtype=np.int64)]
+    order, off, preds = _level_tables(L)
+    fl = f[order[: off[k_max + 1]]]
     for k in range(1, k_max + 1):
-        if levels[-1].max() > _I64_MAX // k:
+        pr = preds[k]
+        yield pr, fl[off[k - 1] : off[k]][pr] < fl[off[k] : off[k + 1]]
+
+
+def _counts_from_origin(f: np.ndarray, L: int, k_max: int) -> np.ndarray:
+    """Open-prefix counts n_sigma of the level-k_max nodes."""
+    n = np.ones(1, dtype=np.int64)
+    for k, (pr, open_edge) in enumerate(_open_edges(f, L, k_max), start=1):
+        if n.max() > _I64_MAX // k:
             raise PathCountOverflowError(f"path count overflow at level {k}")
-        pr, open_edge = _open_edges(f, L, k)
-        levels.append(np.where(open_edge, levels[-1][pr], 0).sum(axis=1))
-    return levels
+        c = n[pr]
+        c *= open_edge
+        n = c.sum(axis=0)
+    return n
 
 
 def _counts_to_top(f: np.ndarray, L: int, k: int) -> np.ndarray:
@@ -147,22 +155,19 @@ def _counts_to_top(f: np.ndarray, L: int, k: int) -> np.ndarray:
     both of the fitness array and of each level.  Negation is exact, so
     the reflected cube has exactly the ties of f (1 - f would round).
     """
-    return _counts_from_origin(-f[::-1], L, k)[-1][::-1]
+    return _counts_from_origin(-f[::-1], L, k)[::-1]
 
 
 def count_open_paths(land: HypercubeLandscape) -> int:
     """Exact number of open paths from 0...0 to 1...1 (checked 64-bit)."""
-    return int(_counts_from_origin(land.fitness, land.dim, land.dim)[-1][0])
+    return int(_counts_from_origin(land.fitness, land.dim, land.dim)[0])
 
 
 def path_exists(land: HypercubeLandscape) -> bool:
-    """True iff at least one open path exists: the counting sweep on
-    booleans (reachable by an open path), which cannot overflow."""
-    L = land.dim
+    """True iff an open path exists: the DP on booleans, which cannot overflow."""
     reach = np.ones(1, dtype=bool)
-    for k in range(1, L + 1):
-        pr, open_edge = _open_edges(land.fitness, L, k)
-        reach = (open_edge & reach[pr]).any(axis=1)
+    for pr, open_edge in _open_edges(land.fitness, land.dim, land.dim):
+        reach = (open_edge & reach[pr]).any(axis=0)
         if not reach.any():
             return False
     return True
@@ -173,12 +178,9 @@ def level_counts(land: HypercubeLandscape, k: int, from_top: bool = False) -> Le
     L = land.dim
     if not 0 <= k <= L:
         raise ValueError(f"level must be in [0, {L}], got {k}")
-    masks, _ = _masks_and_pos(L)
-    if from_top:
-        counts = _counts_to_top(land.fitness, L, k)
-        return LevelCounts(level=k, from_top=True, masks=masks[L - k], counts=counts)
-    counts = _counts_from_origin(land.fitness, L, k)[-1]
-    return LevelCounts(level=k, from_top=False, masks=masks[k], counts=counts)
+    counts = (_counts_to_top if from_top else _counts_from_origin)(land.fitness, L, k)
+    masks = _level_masks(L, L - k if from_top else k)
+    return LevelCounts(level=k, from_top=from_top, masks=masks, counts=counts)
 
 
 def theta_k_hypercube(land: HypercubeLandscape, k: int) -> float:
@@ -192,11 +194,10 @@ def theta_k_hypercube(land: HypercubeLandscape, k: int) -> float:
     L = land.dim
     if not 0 <= 2 * k < L:
         raise ValueError(f"need 0 <= 2k < L, got k={k}, L={L}")
-    masks, _ = _masks_and_pos(L)
-    n = _counts_from_origin(land.fitness, L, k)[-1].astype(float)
+    n = _counts_from_origin(land.fitness, L, k).astype(float)
     m = _counts_to_top(land.fitness, L, k).astype(float)
-    sig = masks[k]
-    tau = masks[L - k]
+    sig = _level_masks(L, k)
+    tau = _level_masks(L, L - k)
     xs = land.fitness[sig]
     ys = 1.0 - land.fitness[tau]
     comparable = (sig[:, None] & ~tau[None, :]) == 0
@@ -216,11 +217,10 @@ def theta_k_factorized(land: HypercubeLandscape, k: int) -> float:
     L = land.dim
     if not 0 <= 2 * k < L:
         raise ValueError(f"need 0 <= 2k < L, got k={k}, L={L}")
-    masks, _ = _masks_and_pos(L)
-    n = _counts_from_origin(land.fitness, L, k)[-1].astype(float)
+    n = _counts_from_origin(land.fitness, L, k).astype(float)
     m = _counts_to_top(land.fitness, L, k).astype(float)
-    xs = land.fitness[masks[k]]
-    ys = 1.0 - land.fitness[masks[L - k]]
+    xs = land.fitness[_level_masks(L, k)]
+    ys = 1.0 - land.fitness[_level_masks(L, L - k)]
     e = L - 2 * k - 1
     return float((n * (1.0 - xs) ** e).sum() * (m * (1.0 - ys) ** e).sum())
 

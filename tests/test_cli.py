@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from pathscape import cli
+from pathscape import cli, hypercube
 from pathscape.parallel import ENV_THREADS, resolve_threads
 
 
@@ -109,6 +109,19 @@ def test_bad_invocation_exits_2_with_json_error(capsys, argv):
     assert code == 2
     assert records == []
     assert json.loads(err.splitlines()[-1])["error"] == "parameters"
+
+
+def test_path_count_overflow_exits_2(capsys, monkeypatch):
+    # seeded landscapes cannot reach a count above 2^63, so fake the raise
+    def overflow(land):
+        raise hypercube.PathCountOverflowError("path count overflow at level 21")
+
+    monkeypatch.setattr(hypercube, "count_open_paths", overflow)
+    code, records, err = _run(capsys, "hypercube", "count", "--dim", "4", "--threads", "1")
+    assert code == 2
+    assert records == []
+    error = json.loads(err.splitlines()[-1])
+    assert error == {"error": "parameters", "message": "path count overflow at level 21"}
 
 
 def test_hypercube_exists_independent_of_threads(capsys):

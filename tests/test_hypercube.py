@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pathscape import mc, moments, stats
 from pathscape.hypercube import (
     HypercubeLandscape,
+    _level_tables,
     count_open_paths,
     enumerate_paths_oracle,
     generate_hypercube,
@@ -22,6 +23,45 @@ from pathscape.hypercube import (
 )
 
 SEED = 919
+
+
+@pytest.mark.parametrize("L", range(1, 11))
+def test_level_tables_against_definition(L):
+    order, off, preds = _level_tables(L)
+    prev = []
+    for k in range(L + 1):
+        level = [m for m in range(1 << L) if bin(m).count("1") == k]
+        assert order[off[k] : off[k + 1]].tolist() == level
+        pos = {m: i for i, m in enumerate(prev)}
+        bits = [[b for b in range(L) if (m >> b) & 1] for m in level]
+        expect = [[pos[m ^ (1 << mb[j])] for m, mb in zip(level, bits)] for j in range(k)]
+        assert preds[k].dtype == np.intp
+        assert preds[k].flags.c_contiguous
+        assert preds[k].shape == (k, len(level))
+        assert preds[k].tolist() == expect
+        prev = level
+
+
+def test_level_tables_hold_one_copy():
+    L = 16
+    order, _, preds = _level_tables(L)
+    assert all(arr.base is None for arr in (order, *preds))
+    assert order.nbytes + sum(t.nbytes for t in preds) == L * 2 ** (L - 1) * 8 + 2**L * 8
+
+
+def test_cached_tables_are_read_only():
+    # level_counts hands out views of the shared cache: a write through them
+    # would change every later count of this landscape (12 -> 10)
+    land = generate_hypercube(4, 0.0, SEED, replica=44)
+    assert count_open_paths(land) == 12
+    lc = level_counts(land, 2)
+    with pytest.raises(ValueError):
+        lc.masks[:] = lc.masks[::-1]
+    order, _, preds = _level_tables(4)
+    for arr in (order, *preds):
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    assert count_open_paths(land) == 12
 
 
 def _landscape(fitness) -> HypercubeLandscape:
@@ -288,3 +328,38 @@ def test_exists_batch_matches_theta_batch():
     hits = mc.hypercube_exists_batch(8, 0.05, SEED, 60)
     assert hits.dtype == bool
     assert np.array_equal(hits, mc.hypercube_theta_batch(8, 0.05, SEED, 60) > 0)
+
+
+# Digests recorded from the per-bit predecessor tables (`_preds` built by
+# nonzero/scatter over a rank lookup) that preceded the level-ordered tables.
+def test_golden_theta_batch_L16(master_seed):
+    vals = mc.hypercube_theta_batch(16, 1 / 16, master_seed, 80)
+    assert vals.dtype == np.int64
+    assert _digest(vals) == "691f2feea8976581d96b3a86caeba4e65953d6aa22ba57cf2aa252e5c754bd3d"
+
+
+def test_golden_exists_batch_L16(master_seed):
+    hits = mc.hypercube_exists_batch(16, 1 / 16, master_seed, 40)
+    assert hits.dtype == bool
+    assert _digest(hits) == "8400a5b7718355bc47d9c0ad01962a329a18c31f97763f3211040c4ba500a92f"
+
+
+def test_golden_count_L20(master_seed):
+    counts = [
+        count_open_paths(generate_hypercube(20, 1 / 20, master_seed, replica=r))
+        for r in range(2)
+    ]
+    assert counts == [24, 0]
+
+
+def test_golden_counts_from_origin(master_seed):
+    h = hashlib.sha256()
+    for L in range(2, 11):
+        land = generate_hypercube(L, 0.1, master_seed, replica=L)
+        for k in range(L + 1):
+            lc = level_counts(land, k)
+            assert lc.masks.dtype == np.int64
+            assert lc.counts.dtype == np.int64
+            h.update(np.ascontiguousarray(lc.masks).tobytes())
+            h.update(np.ascontiguousarray(lc.counts).tobytes())
+    assert h.hexdigest() == "86bc18cf4ee00ca51d534f0497c242c35895be35821a11da87daed673f9faf2a"
