@@ -284,12 +284,12 @@ def _cmd_cascade(args):
     return asdict(report), PHILOX_TAG
 
 
-def _cmd_verify(args, records: list[ExperimentRecord], t0: float) -> int:
+def _cmd_verify(args, records: list[ExperimentRecord]) -> int:
     results = verify.run_battery(
         args.battery, seed=args.seed, scale=args.scale, threads=args.threads
     )
     all_passed = True
-    for res in results:
+    for res, seconds in results:
         all_passed = all_passed and res.passed
         print(res.line(), file=sys.stderr)
         records.append(
@@ -305,7 +305,7 @@ def _cmd_verify(args, records: list[ExperimentRecord], t0: float) -> int:
                     "expected": res.expected,
                     "details": res.details,
                 },
-                wall_time_s=time.perf_counter() - t0,
+                wall_time_s=seconds,
             )
         )
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
@@ -405,7 +405,7 @@ def run(argv=None) -> int:
         if getattr(args, "samples", 1) < 1:
             raise ValueError(f"--samples must be >= 1, got {args.samples}")
         if args.group == "verify":
-            code = _cmd_verify(args, records, t0)
+            code = _cmd_verify(args, records)
         else:
             result, rng_tag = args.handler(args)
             records.append(

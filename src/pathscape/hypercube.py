@@ -183,6 +183,23 @@ def level_counts(land: HypercubeLandscape, k: int, from_top: bool = False) -> Le
     return LevelCounts(level=k, from_top=from_top, masks=masks, counts=counts)
 
 
+@lru_cache(maxsize=8)
+def _comparable_pairs(L: int, k: int) -> np.ndarray:
+    """Flat positions in the (C(L, k), C(L, k)) matrix of the comparable
+    pairs sigma subset of tau, sigma on level k and tau on level L - k.
+
+    Row i lists, ascending, i * C(L, k) + j for every superset tau_j of
+    sigma_i; each sigma has C(L - k, k) of them.  Read-only: the cache
+    shares it.
+    """
+    sig = _level_masks(L, k)
+    not_tau = ~_level_masks(L, L - k)
+    row_start = np.arange(0, len(sig) ** 2, len(sig))
+    flat = np.stack([r + np.flatnonzero((s & not_tau) == 0) for r, s in zip(row_start, sig)])
+    flat.setflags(write=False)
+    return flat
+
+
 def theta_k_hypercube(land: HypercubeLandscape, k: int) -> float:
     """Conditional expectation of the path count given the first k levels
     seen from both corners.
@@ -196,15 +213,15 @@ def theta_k_hypercube(land: HypercubeLandscape, k: int) -> float:
         raise ValueError(f"need 0 <= 2k < L, got k={k}, L={L}")
     n = _counts_from_origin(land.fitness, L, k).astype(float)
     m = _counts_to_top(land.fitness, L, k).astype(float)
-    sig = _level_masks(L, k)
-    tau = _level_masks(L, L - k)
-    xs = land.fitness[sig]
-    ys = 1.0 - land.fitness[tau]
-    comparable = (sig[:, None] & ~tau[None, :]) == 0
-    base = 1.0 - xs[:, None] - ys[None, :]
-    ok = comparable & (base >= 0.0)
-    w = np.zeros_like(base)
-    w[ok] = (L - 2 * k) * base[ok] ** (L - 2 * k - 1)
+    xs = land.fitness[_level_masks(L, k)]
+    ys = 1.0 - land.fitness[_level_masks(L, L - k)]
+    flat = _comparable_pairs(L, k)
+    ns = len(xs)
+    row_start = np.arange(0, ns * ns, ns)[:, None]
+    base = (1.0 - xs)[:, None] - ys[flat - row_start]
+    ok = base >= 0.0
+    w = np.zeros((ns, ns))
+    w.ravel()[flat[ok]] = (L - 2 * k) * base[ok] ** (L - 2 * k - 1)
     return float(n @ w @ m)
 
 

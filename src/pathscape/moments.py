@@ -11,6 +11,7 @@ regimes keep full precision near x = 0.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -289,16 +290,22 @@ def _hypercube_pair_profile(L: int) -> tuple:
     """
     if L < 2:
         raise ValueError(f"L must be >= 2, got {L}")
-    w = [0] + [
+    w = [
         indecomposable_count(m) * math.comb(2 * m - 2, m - 1)
-        for m in range(1, L + 1)
-    ]
-    f = [[0] * (L + 1) for _ in range(L + 1)]
-    f[0][0] = 1
-    for rem in range(1, L + 1):
-        for r in range(1, rem + 1):
-            f[rem][r] = sum(w[m] * f[rem - m][r - 1] for m in range(1, rem + 1))
-    return tuple(f[L][1:])
+        for m in range(L, 0, -1)
+    ]  # w[i] is the weight of a block of L - i steps
+    # f(rem, r), the count for rem steps in r blocks, is 0 for rem < r, so
+    # column r is built from the nonzero rows r-1..rem-1 of column r-1:
+    # f(rem, r) = sum_j f(j, r-1) * weight(rem - j).
+    col = [1] + [0] * L  # column r = 0
+    out = []
+    for r in range(1, L + 1):
+        col = [0] * r + [
+            sum(map(operator.mul, col[r - 1 : rem], w[L - rem + r - 1 :]))
+            for rem in range(r, L + 1)
+        ]
+        out.append(col[L])
+    return tuple(out)
 
 
 def second_moment_hypercube(L: int, x: float) -> float:

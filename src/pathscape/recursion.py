@@ -24,7 +24,9 @@ still sums that closed-form tail cell by cell, out to the exact
 underflow of exp (log < _UNDERFLOW_LOG = -746, a fact of IEEE doubles):
 past it every value and every cell is an exact zero, so the result is
 bit-identical to sweeping the whole grid.  For p(x, 10^4) a sweep
-touches 23 % of the grid on average.
+touches 23 % of the grid on average.  Each sweep runs in place on
+buffers allocated once per call, and the output is bit-identical to the
+full-grid loops.
 
 Accuracy is auditable by grid doubling rather than adaptive meshing.
 """
@@ -64,9 +66,15 @@ class GridFunction:
         return np.interp(x, self.xs, self.values)
 
 
-def _segment_integrals(values: np.ndarray, h: float) -> np.ndarray:
+def _segment_integrals(f: np.ndarray, h: float, seg: np.ndarray, f13: np.ndarray) -> np.ndarray:
     """Per-cell integrals on a uniform grid: trapezoid plus a
     third-difference correction (cubic-exact, 4th order).
+
+    Writes the len(f) - 1 cells into the head of `seg` and returns that
+    view; `f13` is scratch for 13 f, at least len(f) long.  The interior
+    stencil is evaluated as ((13 f1 - f0) + 13 f2) - f3, which equals
+    (-f0 + 13 f1 + 13 f2) - f3 bit for bit (IEEE addition commutes, and
+    x - y is x + (-y)).
 
     Plain trapezoid is not an option for the generating-function sweeps:
     its O(h^2) bias is amplified by the size-th power at every one of the
@@ -75,21 +83,25 @@ def _segment_integrals(values: np.ndarray, h: float) -> np.ndarray:
     reduces the accumulated bias to O(h^4 L^5), which grid doubling can
     certify.
     """
-    f = values
-    seg = np.empty(len(f) - 1)
+    n = len(f)
     c = h / 24.0
-    seg[1:-1] = c * (-f[:-3] + 13.0 * f[1:-2] + 13.0 * f[2:-1] - f[3:])
+    t = np.multiply(f, 13.0, out=f13[:n])
+    mid = seg[1 : n - 2]
+    np.subtract(t[1:-2], f[:-3], out=mid)
+    np.add(mid, t[2:-1], out=mid)
+    np.subtract(mid, f[3:], out=mid)
+    np.multiply(mid, c, out=mid)
     seg[0] = c * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
-    seg[-1] = c * (f[-4] - 5.0 * f[-3] + 19.0 * f[-2] + 9.0 * f[-1])
-    return seg
+    seg[n - 2] = c * (f[-4] - 5.0 * f[-3] + 19.0 * f[-2] + 9.0 * f[-1])
+    return seg[: n - 1]
 
 
 def _prefix_integral(values: np.ndarray, h: float) -> np.ndarray:
     """S[i] = integral from the left endpoint to x_i."""
-    seg = _segment_integrals(values, h)
     out = np.empty_like(values)
+    seg = _segment_integrals(values, h, out[1:], np.empty_like(values))
     out[0] = 0.0
-    out[1:] = np.cumsum(seg)
+    np.add.accumulate(seg, out=seg)
     return out
 
 
@@ -117,9 +129,17 @@ def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log1mx = np.log1p(-xs)
     neg_log1mx = -log1mx  # ascending, for searchsorted
+    # f holds d_{size-1}: swept values on 0..w-1, then the closed-form
+    # tail.  The three other buffers are scratch for one sweep.
+    f = np.full(grid_n + 4, a0)
+    f13, seg, D = np.empty(grid_n + 4), np.empty(grid_n + 4), np.empty(grid_n + 4)
+    w = grid_n + 1
 
-    def log_tail(size, lo, hi):
-        return math.log(a0 * size) + (size - 1) * log1mx[lo:hi]
+    def write_tail(size, lo, hi):
+        # f[lo:hi] = exp(log(a0*size) + (size-1)*log1mx[lo:hi]), in place
+        t = np.multiply(log1mx[lo:hi], size - 1, out=f[lo:hi])
+        np.add(t, math.log(a0 * size), out=t)
+        np.exp(t, out=t)
 
     def last_at_least(size, floor):
         # Last index whose tail log is >= floor (-1 if none); the guess
@@ -132,33 +152,36 @@ def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
             i -= 1
         return i
 
-    d = np.full(grid_n + 1, a0)  # d_{size-1} on its window 0..len(d)-1
-    for size in range(2, L + 1):
-        m = last_at_least(size, _TAIL_GRAFT_LOG)
-        if m < 0:
-            d = d[:0]
-            continue
-        # d_{size-1} is nonzero at most on 0..k, and k >= m
-        k = grid_n if size == 2 else last_at_least(size - 1, _UNDERFLOW_LOG)
-        if k >= grid_n - 3:
-            f = np.zeros(grid_n + 1)
-            cells = grid_n
-        else:
-            # three zero points past k complete the interior stencils; the
-            # slice's own one-sided last cell is not a cell of the grid
-            f = np.zeros(k + 4)
-            cells = k + 2
-        f[: len(d)] = d
-        f[len(d) : k + 1] = np.exp(log_tail(size - 1, len(d), k + 1))
-        seg = _segment_integrals(f, h)[:cells]
-        D = np.cumsum(seg[::-1])[::-1][: m + 1].copy()  # contiguous
-        np.clip(D, 0.0, 1.0, out=D)
-        with np.errstate(divide="ignore"):
-            d = -np.expm1(size * np.log1p(-D))
-    out = np.empty(grid_n + 1)
-    out[: len(d)] = d
-    out[len(d) :] = np.exp(log_tail(L, len(d), grid_n + 1))
-    return out
+    with np.errstate(divide="ignore"):
+        for size in range(2, L + 1):
+            m = last_at_least(size, _TAIL_GRAFT_LOG)
+            if m < 0:
+                w = 0
+                continue
+            # d_{size-1} is nonzero at most on 0..k, and k >= m
+            k = grid_n if size == 2 else last_at_least(size - 1, _UNDERFLOW_LOG)
+            if k >= grid_n - 3:
+                n, cells = grid_n + 1, grid_n
+            else:
+                # three zero points past k complete the interior stencils;
+                # the slice's own one-sided last cell is not a cell of the grid
+                n, cells = k + 4, k + 2
+            write_tail(size - 1, w, k + 1)
+            f[k + 1 : n] = 0.0
+            _segment_integrals(f[:n], h, seg, f13)
+            # suffix sums D[i] = seg[cells-1] + ... + seg[i], in that order
+            np.add.accumulate(seg[cells - 1 :: -1], out=D[cells - 1 :: -1])
+            # d_size = -expm1(size * log1p(-clip(D, 0, 1))) on the window,
+            # written over the head of f, which seg and D no longer need
+            w = m + 1
+            t = D[:w].clip(0.0, 1.0, out=D[:w])
+            np.negative(t, out=t)
+            np.log1p(t, out=t)
+            np.multiply(t, size, out=t)
+            np.expm1(t, out=t)
+            np.negative(t, out=f[:w])
+    write_tail(L, w, grid_n + 1)
+    return f[: grid_n + 1]
 
 
 def tree_gf(lam: float, L: int, grid_n: int) -> GridFunction:

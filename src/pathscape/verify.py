@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -590,9 +591,19 @@ BATTERIES = {
 
 
 def run_battery(name: str, seed: int = DEFAULT_SEED, scale: float = 1.0, threads=None):
+    """Run every check of the battery, in order.
+
+    Returns (result, seconds) pairs: each result with the wall time of the
+    check that produced it, so the results of one check share its time.
+    """
     if name not in BATTERIES:
         raise ValueError(f"unknown battery {name!r}; choose from {sorted(BATTERIES)}")
-    results = []
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be a positive finite number, got {scale}")
+    timed = []
     for check in BATTERIES[name]:
-        results.extend(check(seed=seed, scale=scale, threads=threads))
-    return results
+        t0 = time.perf_counter()
+        results = check(seed=seed, scale=scale, threads=threads)
+        seconds = time.perf_counter() - t0
+        timed.extend((res, seconds) for res in results)
+    return timed

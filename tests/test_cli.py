@@ -3,10 +3,11 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
-from pathscape import cli, hypercube
+from pathscape import cli, hypercube, verify
 from pathscape.parallel import ENV_THREADS, resolve_threads
 
 
@@ -100,9 +101,19 @@ def test_tree_exists_all_over_budget_exits_3(capsys):
         ["recursion", "delta-check", "--zmax", "0.1", "--grid", "128"],
         ["recursion", "gf", "--mu", "1", "--levels", "3", "--grid", "128", "--at", "2"],
         ["recursion", "pexist", "--levels", "3", "--grid", "128", "--at", "-1"],
+        ["cascade", "sample", "--k", "-1"],
+        ["cascade", "ks", "--k", "2", "--delta", "0", "--samples", "10"],
+        ["tree", "sample", "--dim", "0"],
+        ["tree", "exists", "--dim", "6", "--x", "2", "--samples", "3"],
+        ["hypercube", "thetak", "--dim", "6", "--k", "3"],
+        ["recursion", "fk", "--k", "-1", "--grid", "128"],
+        ["verify", "moments", "--scale", "0"],
+        ["verify", "moments", "--scale", "inf"],
     ],
     ids=["no-dim", "limits-no-dim", "negative-k", "missing-required", "zero-samples",
-         "tree-zero-samples", "zmax-below-zmin", "gf-at-above-grid", "pexist-at-below-grid"],
+         "tree-zero-samples", "zmax-below-zmin", "gf-at-above-grid", "pexist-at-below-grid",
+         "cascade-negative-k", "ks-zero-delta", "tree-zero-dim", "exists-x-above-one",
+         "thetak-2k-ge-dim", "fk-negative-k", "verify-zero-scale", "verify-inf-scale"],
 )
 def test_bad_invocation_exits_2_with_json_error(capsys, argv):
     code, records, err = _run(capsys, *argv)
@@ -244,6 +255,27 @@ def test_verify_battery_emits_per_criterion_records(capsys):
     assert all(r["command"] == "verify.moments" for r in records)
     # one human-readable pass/fail line per check on stderr
     assert err.count("[PASS]") == len(records)
+
+
+def test_verify_records_carry_per_check_time(capsys, monkeypatch):
+    # two results from a check that sleeps, then one from a check that
+    # does not: each record carries the time of its own check
+    def slow(seed, scale, threads):
+        time.sleep(0.05)
+        return [verify.CheckResult(f"slow-{i}", True, {}, {}) for i in range(2)]
+
+    def fast(seed, scale, threads):
+        return [verify.CheckResult("fast", True, {}, {})]
+
+    monkeypatch.setitem(verify.BATTERIES, "moments", [slow, fast])
+    t0 = time.perf_counter()
+    code, records, _ = _run(capsys, "verify", "moments")
+    wall = time.perf_counter() - t0
+    assert code == 0
+    slow_s, again_s, fast_s = (r["wall_time_s"] for r in records)
+    assert slow_s == again_s >= 0.05
+    assert 0.0 <= fast_s < 0.05
+    assert slow_s + fast_s <= wall
 
 
 def test_verify_rerun_reproduces_statistics(capsys):

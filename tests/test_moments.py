@@ -1,5 +1,6 @@
 """Closed-form moments and pair combinatorics against exact rational oracles."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from pathscape.moments import (
     expected_paths,
     indecomposable_count,
     log_a_coeff,
+    pair_open_prob_hypercube,
     pair_open_prob_tree,
     pstar_upper_bound,
     q0,
@@ -182,10 +184,9 @@ def test_pair_open_prob_exact_small():
     assert pair_open_prob_tree(L, q, 0.25) == pytest.approx(float(exact), rel=1e-12)
 
 
-def _second_moment_hypercube_exact(L: int, x: Fraction) -> Fraction:
-    """Independent rational evaluation of the shared-node-chain sum:
-    pairs meeting along r blocks of sizes (m_1..m_r) contribute
-    prod B(m_i) C(2m_i-2, m_i-1) * L! (1-x)^(2L-r-1) / (2L-r-1)!."""
+def _pair_profile_full(L: int) -> list:
+    """f[L][r] for r = 0..L by the full triple loop over block sizes:
+    f[rem][r] sums w(m) f[rem-m][r-1] over every m, zero terms included."""
     w = {
         m: indecomposable_count(m) * math.comb(2 * m - 2, m - 1)
         for m in range(1, L + 1)
@@ -195,11 +196,78 @@ def _second_moment_hypercube_exact(L: int, x: Fraction) -> Fraction:
     for rem in range(1, L + 1):
         for r in range(1, rem + 1):
             f[rem][r] = sum(w[m] * f[rem - m][r - 1] for m in range(1, rem + 1))
+    return f[L]
+
+
+def _second_moment_hypercube_exact(L: int, x: Fraction) -> Fraction:
+    """Independent rational evaluation of the shared-node-chain sum:
+    pairs meeting along r blocks of sizes (m_1..m_r) contribute
+    prod B(m_i) C(2m_i-2, m_i-1) * L! (1-x)^(2L-r-1) / (2L-r-1)!."""
+    counts = _pair_profile_full(L)
     total = Fraction(0)
     for r in range(1, L + 1):
         nf = 2 * L - r - 1
-        total += f[L][r] * (1 - x) ** nf / math.factorial(nf)
+        total += counts[r] * (1 - x) ** nf / math.factorial(nf)
     return math.factorial(L) * total
+
+
+def test_pair_profile_matches_triple_loop():
+    for L in range(2, 41):
+        assert moments._hypercube_pair_profile(L) == tuple(_pair_profile_full(L)[1:])
+
+
+def test_golden_pair_profile():
+    # sha256 of the profile the triple loop gave before zero terms were skipped
+    digest = hashlib.sha256(repr(moments._hypercube_pair_profile(256)).encode())
+    assert digest.hexdigest() == "e3f293fe67370150b62b530e0a84ce01cd6067efc58dcbaca7ac485fa8d175a1"
+
+
+def _linear_extensions(n: int, below: list) -> int:
+    """Orders of n elements in which every element follows all of below[v]
+    (bitmasks), by a DP over the sets of elements placed first."""
+    ways = [0] * (1 << n)
+    ways[0] = 1
+    for placed in range(1 << n):
+        for v in range(n):
+            if not placed >> v & 1 and below[v] & ~placed == 0:
+                ways[placed | 1 << v] += ways[placed]
+    return ways[-1]
+
+
+def _pair_open_prob_poset(L: int, p: int, q: int, x: Fraction) -> Fraction:
+    """Both paths open, from the poset of an explicit pair on the L-cube:
+    coordinate orders that agree on the first p and last q steps and run
+    the middle block in opposite orders, so the middle nodes are disjoint.
+    Every node other than the corners is above x and increases along each
+    path: (1-x)^n e(P)/n! over the n free nodes."""
+    mid = list(range(p, L - q))
+    orders = (list(range(L)), list(range(p)) + mid[::-1] + list(range(L - q, L)))
+    walks = []
+    for order in orders:
+        mask, walk = 0, []
+        for bit in order[:-1]:  # the corners are fixed: drop 0 and the top
+            mask |= 1 << bit
+            walk.append(mask)
+        walks.append(walk)
+    nodes = sorted(set(walks[0]) | set(walks[1]))
+    assert len(nodes) == 2 * L - p - q - 2
+    index = {node: i for i, node in enumerate(nodes)}
+    below = [0] * len(nodes)
+    for walk in walks:
+        for lo, hi in zip(walk, walk[1:]):
+            below[index[hi]] |= 1 << index[lo]
+    n = len(nodes)
+    return (1 - x) ** n * Fraction(_linear_extensions(n, below), math.factorial(n))
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_pair_open_prob_hypercube_against_poset(L):
+    for x in (Fraction(0), Fraction(1, 7), Fraction(2, 3)):
+        for p in range(L - 1):
+            for q in range(L - 1 - p):
+                exact = _pair_open_prob_poset(L, p, q, x)
+                got = pair_open_prob_hypercube(L, p, q, float(x))
+                assert got == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_second_moment_hypercube_two_cube_closed_form():

@@ -1,6 +1,7 @@
 """Grid iteration of the generating-function, existence, and cascade
 fixed-point recursions."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from scipy.integrate import quad
 
 from pathscape import recursion
-from pathscape.recursion import _segment_integrals
 from pathscape.recursion import (
     GridFunction,
     delta_bound_check,
@@ -27,8 +27,19 @@ from pathscape.recursion import (
 # them bit for bit.
 
 
+def _segment_integrals_full(values, h):
+    # the cell integrals as they stood before the sweeps ran in place
+    f = values
+    seg = np.empty(len(f) - 1)
+    c = h / 24.0
+    seg[1:-1] = c * (-f[:-3] + 13.0 * f[1:-2] + 13.0 * f[2:-1] - f[3:])
+    seg[0] = c * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
+    seg[-1] = c * (f[-4] - 5.0 * f[-3] + 19.0 * f[-2] + 9.0 * f[-1])
+    return seg
+
+
 def _suffix_integral_full(values, h):
-    seg = _segment_integrals(values, h)
+    seg = _segment_integrals_full(values, h)
     out = np.empty_like(values)
     out[-1] = 0.0
     out[:-1] = np.cumsum(seg[::-1])[::-1]
@@ -101,6 +112,16 @@ def test_golden_sweeps():
     # repr of the values the full-grid loops gave before the window
     assert repr(p_star(2000, 2**14)) == "0.003792486076961011"
     assert repr(float(tree_gf(1 / 2000, 2000, 2**14)(0.0))) == "0.5005859264552406"
+
+
+def test_golden_in_place_sweeps():
+    # recorded before the sweeps ran in place on preallocated buffers
+    assert repr(p_star(10**4, 2**12)) == "0.0007971565845564971"
+    values = tree_gf(1 / 500, 500, 2**15).values
+    assert (
+        hashlib.sha256(values.tobytes()).hexdigest()
+        == "118a55500045494c890536f80dc89e659a6f9852cef229baa2556f1b73385725"
+    )
 
 
 def test_grid_function_validation():
