@@ -179,7 +179,9 @@ def _cmd_tree(args):
         out["k"] = args.k
         return out, SPLITMIX_TAG
     # exists
-    est = tree.tree_existence_mc(args.dim, x, args.samples, args.seed, args.budget)
+    est = tree.tree_existence_mc(
+        args.dim, x, args.samples, args.seed, args.budget, threads=args.threads
+    )
     if est.budget_hits == args.samples:
         raise tree.BudgetExceededError("all tree realizations exceeded node budget")
     return asdict(est), SPLITMIX_TAG
@@ -269,7 +271,7 @@ def _cmd_recursion(args):
 def _cmd_cascade(args):
     if args.action == "sample":
         params = cascade.CascadeParams(args.k, args.delta, args.seed, samples=args.samples)
-        batch = cascade.sample_cascade_batch(params)
+        batch = cascade.sample_cascade_batch(params, threads=args.threads)
         if batch.budget_hits == args.samples:
             raise tree.BudgetExceededError("all cascade realizations exceeded atom budget")
         out = _summary(batch.ys) if len(batch.ys) > 1 else {"y": float(batch.ys[0])}
@@ -280,7 +282,9 @@ def _cmd_cascade(args):
         }
         return out, PHILOX_TAG
     # ks
-    report = cascade.cascade_limit_check(args.k, args.delta, args.samples, args.seed)
+    report = cascade.cascade_limit_check(
+        args.k, args.delta, args.samples, args.seed, threads=args.threads
+    )
     return asdict(report), PHILOX_TAG
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import hypercube, tree
 from .parallel import map_replicas
-from .rng import derive_seed
+from .rng import derive_seed  # noqa: F401 -- perfbench/tracing.py wraps mc.derive_seed
 
 
 def _cube_chunk(fn, dtype, L, x, seed, args, start, stop):
@@ -54,15 +54,6 @@ def hypercube_exists_batch(
     return map_replicas(worker, samples, threads)
 
 
-def _tree_chunk(block_fn, dtype, L, x, seed, args, start, stop):
-    """block_fn over range(start, stop), one engine call per replica block."""
-    out = np.empty(stop - start, dtype=dtype)
-    for a, b in tree.replica_blocks(L, x, start, stop):
-        seeds = np.array([derive_seed(seed, r) for r in range(a, b)], dtype=np.uint64)
-        out[a - start : b - start] = block_fn(seeds, L, x, *args)
-    return out
-
-
 def tree_theta_batch(
     L: int,
     x: float,
@@ -71,7 +62,7 @@ def tree_theta_batch(
     budget: int = tree.DEFAULT_NODE_BUDGET,
     threads: int | None = None,
 ) -> np.ndarray:
-    worker = partial(_tree_chunk, tree.theta_block, np.int64, L, x, seed, (budget,))
+    worker = partial(tree.block_chunk, tree.theta_block, np.int64, L, x, seed, (budget,))
     return map_replicas(worker, samples, threads)
 
 
@@ -84,5 +75,5 @@ def tree_theta_k_batch(
     budget: int = tree.DEFAULT_NODE_BUDGET,
     threads: int | None = None,
 ) -> np.ndarray:
-    worker = partial(_tree_chunk, tree.theta_k_block, np.float64, L, x, seed, (k, budget))
+    worker = partial(tree.block_chunk, tree.theta_k_block, np.float64, L, x, seed, (k, budget))
     return map_replicas(worker, samples, threads)

@@ -1,15 +1,30 @@
 """Closed-form moments, pair-of-paths combinatorics, and limit values.
 
 All factorial ratios go through log space so the formulas stay usable up
-to L = 10^6; exact integer arithmetic is used only where values fit
-comfortably (pair counts, indecomposable-permutation counts).
+to L = 10^6.  (1-x)^n is always computed as exp(n * log1p(-x)) so the
+x = X/L scaling regimes keep full precision near x = 0.
 
-(1-x)^n is always computed as exp(n * log1p(-x)) so the x = X/L scaling
-regimes keep full precision near x = 0.
+Counts that outgrow a machine word are exact Python integers.  The
+hypercube pair profile, the count c_r of ordered path pairs whose shared
+nodes cut both paths into r blocks, is c_r = [z^L] W(z)^r with
+W(z) = sum_m B(m) C(2m-2, m-1) z^m.  It is computed modulo word-size
+primes and rebuilt by the Chinese remainder theorem:
+
+- Every prime p has (L+1)(p-1)^2 < 2^53, so a float64 dot product of L+1
+  residue products is an exact integer whatever the BLAS summation order
+  or FMA use, and one int64 remainder reduces it.
+- The primes' product M exceeds 8^L L!, which bounds every c_r: B(m) <= m!
+  (B(m) counts a subset of the permutations), C(2m-2, m-1) <= 4^(m-1),
+  m_1! ... m_r! <= L! for any composition (the multinomial coefficient is
+  at least 1), and there are 2^(L-1) compositions of L.  So each product
+  of block weights is at most 4^L L! and c_r < 2^L 4^L L! = 8^L L!.
+- The residue c_r mod M therefore is c_r: it is rebuilt as
+  sum_p (c_r mod p) (M/p) ((M/p)^-1 mod p), reduced mod M.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -264,15 +279,150 @@ def pair_open_prob_hypercube(L: int, p: int, q: int, x: float) -> float:
     return float(math.exp(log_p))
 
 
-@lru_cache(maxsize=None)
+_INDECOMPOSABLE = (0,)  # B(0..n) for the largest n asked so far; B(0) = 0 pads
+
+
+def _indecomposable_counts(n: int) -> tuple:
+    """A table whose entries 0..n are B(0..n), built from one factorial
+    list: B(m) = m! - sum_{k<m} B(k) (m-k)!.
+
+    The longest table built so far is kept and extended; it is replaced
+    whole, never mutated, so a concurrent caller sees a complete table.
+    """
+    global _INDECOMPOSABLE
+    b = _INDECOMPOSABLE
+    if len(b) <= n:
+        fact = list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))
+        b = list(b)
+        for m in range(len(b), n + 1):
+            b.append(fact[m] - sum(map(operator.mul, b[1:m], fact[m - 1 : 0 : -1])))
+        _INDECOMPOSABLE = b = tuple(b)
+    return b
+
+
 def indecomposable_count(n: int) -> int:
     """B(n): permutations of n elements with no proper invariant prefix,
     via the inversion of n! = sum_k B(k) (n-k)!."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return math.factorial(n) - sum(
-        indecomposable_count(k) * math.factorial(n - k) for k in range(1, n)
-    )
+    return _indecomposable_counts(n)[n]
+
+
+def _small_primes(n: int) -> list:
+    """Primes <= n (sieve of Eratosthenes)."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+def _crt_primes(L: int) -> tuple:
+    """Distinct primes, largest first, each with (L+1)(p-1)^2 < 2^53, whose
+    product exceeds 8^L L! (the bound on every pair count).
+
+    They are taken downward from the largest admissible p by sieving
+    windows of doubling width with the primes up to the square root of
+    that p.  Every such p is below 2^26.
+    """
+    bound = 8**L * math.factorial(L)
+    hi = math.isqrt((2**53 - 1) // (L + 1)) + 2  # window end, exclusive: p - 1 <= isqrt
+    small = _small_primes(math.isqrt(hi))
+    primes, product, width = [], 1, 1024
+    while product <= bound:
+        lo = max(2, hi - width)
+        if lo >= hi:
+            raise ValueError(f"L = {L} needs more word-size primes than exist")
+        is_prime = np.ones(hi - lo, dtype=bool)
+        for q in small:
+            is_prime[max(q * q, -(-lo // q) * q) - lo :: q] = False
+        for p in (np.flatnonzero(is_prime)[::-1] + lo).tolist():
+            primes.append(p)
+            product *= p
+            if product > bound:
+                break
+        hi, width = lo, 2 * width
+    return tuple(primes)
+
+
+def _to_residues(values: list, primes) -> np.ndarray:
+    """values (non-negative ints) mod each prime, as a (len(values),
+    len(primes)) int64 array.
+
+    Byte d of a value weighs 256^d mod p, so one float64 product of the
+    byte matrix with those weights sums at most n_bytes * 255 * (p-1) per
+    entry: exact below 2^53 for primes below 2^26 and values of fewer
+    than 2^22 bits.
+    """
+    n_bytes = (max(values).bit_length() + 7) // 8
+    digits = np.frombuffer(
+        b"".join(v.to_bytes(n_bytes, "little") for v in values), dtype=np.uint8
+    ).reshape(len(values), n_bytes)
+    p = np.array(primes, dtype=np.int64)
+    weights = np.empty((n_bytes, len(p)), dtype=np.int64)
+    weights[0] = 1
+    for d in range(1, n_bytes):
+        weights[d] = weights[d - 1] * 256 % p
+    return (digits.astype(float) @ weights.astype(float)).astype(np.int64) % p
+
+
+def _from_residues(residues: np.ndarray, primes) -> list:
+    """The integers in [0, M), M = prod(primes), with the given rows of
+    residues, by the Chinese remainder theorem."""
+    M = math.prod(primes)
+    coeffs = [M // p * pow(M // p % p, -1, p) for p in primes]
+    return [sum(map(operator.mul, row, coeffs)) % M for row in residues.tolist()]
+
+
+def _reduce(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Exact integer-valued float64 y (below 2^53) mod p, as float64."""
+    return (y.astype(np.int64) % p).astype(float)
+
+
+def _series_product_table(v: np.ndarray) -> np.ndarray:
+    """(C, n) coefficient rows -> (C, n, n) tables with out[c, j, i] =
+    v[c, i - j] for i >= j and 0 above, so that u @ out[c] is the product
+    of the series u and v[c] truncated after degree n - 1."""
+    C, n = v.shape
+    padded = np.zeros((C, 2 * n - 1))
+    padded[:, n - 1 :] = v
+    window = np.lib.stride_tricks.sliding_window_view(padded, n, axis=1)
+    return np.ascontiguousarray(window[:, ::-1])
+
+
+def _top_coefficients_mod(w: np.ndarray, p: np.ndarray, L: int) -> np.ndarray:
+    """[z^L] W^r mod p for r = 1..L, one row per prime (rows of w; p has
+    shape (C, 1, 1)).
+
+    Baby steps W^0..W^(s-1) and giant steps W^(js) are series products
+    with one table each; [z^L] W^(js+i) = sum_k [z^k] W^i [z^(L-k)] W^(js)
+    is then one batched matrix product.  W^(js) vanishes below degree js,
+    so giant step j only multiplies the (L+1-js)-square block that can be
+    nonzero: the giant steps cost about a third of full products, and
+    s = sqrt((L+1)/3) balances the two kinds.
+    """
+    C, n = w.shape
+    s = round(math.sqrt(n / 3))  # at least 1, as n = L + 1 >= 3
+    t = L // s + 1  # js + i then runs over 0..ts-1, which covers 0..L
+    step = _series_product_table(w)
+    baby = np.zeros((C, s + 1, n))
+    baby[:, 0, 0] = 1.0
+    for i in range(1, s + 1):
+        baby[:, i] = _reduce(baby[:, i - 1, None] @ step, p)[:, 0]
+    giant_step = _series_product_table(baby[:, s])
+    giant = np.zeros((C, t, n))
+    giant[:, 0, 0] = 1.0
+    for j in range(1, t):
+        lo, hi = (j - 1) * s, j * s  # W^(lo) vanishes below lo, W^s below s
+        block = giant[:, j - 1, None, lo : n - s] @ giant_step[:, lo : n - s, hi:]
+        giant[:, j, hi:] = _reduce(block, p)[:, 0]
+    top = _reduce(baby[:, :s] @ giant[:, :, ::-1].transpose(0, 2, 1), p)
+    return top.transpose(0, 2, 1).reshape(C, t * s)[:, 1 : L + 1]
+
+
+# Per chunk of primes, the two product tables take at most this many bytes.
+_CHUNK_BYTES = 2**21
 
 
 @lru_cache(maxsize=8)
@@ -285,27 +435,25 @@ def _hypercube_pair_profile(L: int) -> tuple:
     steps contributes B(m) choices for the second path (no proper shared
     prefix inside the block) times C(2m-2, m-1) orderings of the two
     disjoint interior chains, so the count for r blocks is the sum over
-    compositions (m_1..m_r) of L of the product of those weights (exact
-    integers).
+    compositions (m_1..m_r) of L of the product of those weights:
+    [z^L] W(z)^r with W(z) = sum_m B(m) C(2m-2, m-1) z^m.  The exact
+    integers come from residues modulo word-size primes (module docstring).
     """
     if L < 2:
         raise ValueError(f"L must be >= 2, got {L}")
-    w = [
-        indecomposable_count(m) * math.comb(2 * m - 2, m - 1)
-        for m in range(L, 0, -1)
-    ]  # w[i] is the weight of a block of L - i steps
-    # f(rem, r), the count for rem steps in r blocks, is 0 for rem < r, so
-    # column r is built from the nonzero rows r-1..rem-1 of column r-1:
-    # f(rem, r) = sum_j f(j, r-1) * weight(rem - j).
-    col = [1] + [0] * L  # column r = 0
-    out = []
-    for r in range(1, L + 1):
-        col = [0] * r + [
-            sum(map(operator.mul, col[r - 1 : rem], w[L - rem + r - 1 :]))
-            for rem in range(r, L + 1)
+    b = _indecomposable_counts(L)
+    weights = [0] + [b[m] * math.comb(2 * m - 2, m - 1) for m in range(1, L + 1)]
+    primes = _crt_primes(L)
+    w = _to_residues(weights, primes).T.astype(float)  # row k: W mod primes[k]
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    chunk = max(1, _CHUNK_BYTES // (16 * (L + 1) ** 2))
+    top = np.concatenate(
+        [
+            _top_coefficients_mod(w[a : a + chunk], p[a : a + chunk], L)
+            for a in range(0, len(primes), chunk)
         ]
-        out.append(col[L])
-    return tuple(out)
+    )
+    return tuple(_from_residues(top.T.astype(np.int64), primes))
 
 
 def second_moment_hypercube(L: int, x: float) -> float:

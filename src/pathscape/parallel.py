@@ -9,7 +9,6 @@ identical for any thread count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,6 +44,9 @@ def map_replicas(
     threads = resolve_threads(threads)
     if threads <= 1 or n_replicas < 2 * threads:
         return np.asarray(worker(0, n_replicas))
+    # imported here so that `import pathscape` does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     bounds = np.linspace(0, n_replicas, threads + 1).astype(int)
     spans: Sequence[tuple[int, int]] = [
         (int(bounds[i]), int(bounds[i + 1])) for i in range(threads)

@@ -16,9 +16,11 @@ the visits of the full walk, not those up to the first open path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .parallel import map_replicas
 from .rng import derive_seed, splitmix64, uniform_from_hash
 
 _M64 = (1 << 64) - 1
@@ -119,6 +121,16 @@ def replica_blocks(L: int, x: float, start: int, stop: int) -> list[tuple[int, i
     return [(a, min(a + step, stop)) for a in range(start, stop, step)]
 
 
+def block_chunk(block_fn, dtype, L, x, seed, args, start, stop) -> np.ndarray:
+    """block_fn(seeds, L, x, *args) over replicas range(start, stop), one
+    engine call per replica block, on the derived replica seeds."""
+    out = np.empty(stop - start, dtype=dtype)
+    for a, b in replica_blocks(L, x, start, stop):
+        seeds = np.array([derive_seed(seed, r) for r in range(a, b)], dtype=np.uint64)
+        out[a - start : b - start] = block_fn(seeds, L, x, *args)
+    return out
+
+
 def theta_block(seeds: np.ndarray, L: int, x: float, budget: int) -> np.ndarray:
     """Exact Theta per replica seed.  A node at level L-1 with value < 1
     contributes exactly one open path (its single leaf child carries 1)."""
@@ -173,12 +185,22 @@ class ExistenceEstimate:
     samples: int
 
 
+def exists_block(seeds: np.ndarray, L: int, x: float, budget: int) -> np.ndarray:
+    """Per replica seed: 1 if Theta >= 1, 0 if not, -1 if the full walk
+    passed the visit budget (such a replica keeps no nodes, so never 1)."""
+    values, _, owner, over_at = _walk(seeds, L, x, L - 1, budget)
+    status = np.where(over_at > 0, -1, 0).astype(np.int8)
+    status[owner[values < 1.0]] = 1
+    return status
+
+
 def tree_existence_mc(
     L: int,
     x: float,
     samples: int,
     seed: int,
     budget: int = DEFAULT_NODE_BUDGET,
+    threads: int | None = None,
 ) -> ExistenceEstimate:
     """Monte Carlo estimate of P^x(Theta >= 1) over derived replica seeds.
 
@@ -187,12 +209,10 @@ def tree_existence_mc(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    hits = budget_hits = 0
-    for a, b in replica_blocks(L, x, 0, samples):
-        seeds = np.array([derive_seed(seed, r) for r in range(a, b)], dtype=np.uint64)
-        values, _, owner, over_at = _walk(seeds, L, x, L - 1, budget)
-        hits += len(np.unique(owner[values < 1.0]))
-        budget_hits += int(np.count_nonzero(over_at))
+    worker = partial(block_chunk, exists_block, np.int8, L, x, seed, (budget,))
+    status = map_replicas(worker, samples, threads)
+    hits = int(np.count_nonzero(status == 1))
+    budget_hits = int(np.count_nonzero(status == -1))
     n_eff = samples - budget_hits
     if n_eff == 0:
         return ExistenceEstimate(float("nan"), float("nan"), budget_hits, samples)

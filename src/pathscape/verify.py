@@ -390,7 +390,7 @@ def check_existence(seed: int = DEFAULT_SEED, scale: float = 1.0, threads=None):
 
     L = 14
     n = _n(10_000, scale)
-    est = tree.tree_existence_mc(L, 0.0, n, seed)
+    est = tree.tree_existence_mc(L, 0.0, n, seed, threads=threads)
     p_rec = float(recursion.existence_prob(L, 2**13)(0.0))
     results.append(
         CheckResult(
@@ -443,7 +443,9 @@ def check_cascade(seed: int = DEFAULT_SEED, scale: float = 1.0, threads=None):
     results = []
 
     n = _n(100_000, scale)
-    batch = cascade.sample_cascade_batch(cascade.CascadeParams(3, 1e-8, seed, samples=n))
+    batch = cascade.sample_cascade_batch(
+        cascade.CascadeParams(3, 1e-8, seed, samples=n), threads=threads
+    )
     lap = np.exp(-batch.ys)
     summ = stats.moment_summary(stats.Sample.from_values(lap))
     f3_at_1 = float(recursion.fk_iterate(3, 2.0, 2**13)(1.0))
@@ -467,8 +469,8 @@ def check_cascade(seed: int = DEFAULT_SEED, scale: float = 1.0, threads=None):
     )
 
     n_ks = _n(10_000, scale)
-    rep6 = cascade.cascade_limit_check(6, 1e-6, n_ks, derive_seed(seed, 6))
-    rep2 = cascade.cascade_limit_check(2, 1e-6, n_ks, derive_seed(seed, 2))
+    rep6 = cascade.cascade_limit_check(6, 1e-6, n_ks, derive_seed(seed, 6), threads)
+    rep2 = cascade.cascade_limit_check(2, 1e-6, n_ks, derive_seed(seed, 2), threads)
     results.append(
         CheckResult(
             criterion="11-cascade-exponential-limit",

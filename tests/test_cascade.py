@@ -60,6 +60,39 @@ def test_determinism():
     assert np.array_equal(a.ys, b.ys)
 
 
+def test_batch_matches_replica_loop_and_thread_count():
+    # budget hits on some replicas, and two workers with unequal spans
+    params = CascadeParams(3, 1e-4, SEED, samples=41, atom_budget=150)
+    one = sample_cascade_batch(params, threads=1)
+    two = sample_cascade_batch(params, threads=2)
+    assert 0 < one.budget_hits < params.samples
+    assert np.array_equal(one.ys, two.ys)
+    assert (one.mean_bias, one.mean_atoms, one.budget_hits) == (
+        two.mean_bias,
+        two.mean_atoms,
+        two.budget_hits,
+    )
+    ys, bias, atoms = [], 0.0, 0
+    for r in range(params.samples):
+        try:
+            s = sample_cascade(params, philox_stream(SEED, r))
+        except BudgetExceededError:
+            continue
+        ys.append(s.y)
+        bias += s.bias_bound
+        atoms += s.atoms_visited
+    assert one.ys.tolist() == ys
+    assert one.mean_bias == bias / len(ys)
+    assert one.mean_atoms == atoms / len(ys)
+    assert one.budget_hits == params.samples - len(ys)
+
+
+def test_limit_check_independent_of_threads():
+    assert cascade_limit_check(3, 1e-5, 30, SEED, threads=1) == cascade_limit_check(
+        3, 1e-5, 30, SEED, threads=2
+    )
+
+
 def test_expected_sum_conservation():
     # E[Y_k] + E[bias_bound] = 1 exactly; check the CLT band
     params = CascadeParams(3, 1e-6, SEED, samples=3000)

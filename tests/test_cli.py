@@ -143,6 +143,20 @@ def test_hypercube_exists_independent_of_threads(capsys):
     assert one[0]["stats"]["n"] == 20
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tree", "exists", "--dim", "9", "--x", "0", "--samples", "37", "--budget", "2000"],
+        ["cascade", "sample", "--k", "3", "--delta", "1e-4", "--samples", "21"],
+        ["cascade", "ks", "--k", "3", "--delta", "1e-4", "--samples", "21"],
+    ],
+)
+def test_tree_and_cascade_records_independent_of_threads(capsys, argv):
+    _, one, _ = _run(capsys, *argv, "--threads", "1")
+    _, two, _ = _run(capsys, *argv, "--threads", "2")
+    assert one[0]["stats"] == two[0]["stats"]
+
+
 def test_records_refuse_non_finite_values():
     rec = cli.ExperimentRecord("c", {}, None, None, {"estimate": math.nan}, 0.0)
     with pytest.raises(ValueError):

@@ -2,8 +2,11 @@
 
 import hashlib
 import math
+import operator
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +158,21 @@ def test_indecomposable_counts():
     assert [indecomposable_count(n) for n in range(1, 6)] == [1, 1, 3, 13, 71]
 
 
+@lru_cache(maxsize=None)
+def _indecomposable_recursive(n: int) -> int:
+    """The recursive definition B(n) = n! - sum_{k<n} B(k) (n-k)!, with
+    factorials recomputed inside the sum."""
+    return math.factorial(n) - sum(
+        _indecomposable_recursive(k) * math.factorial(n - k) for k in range(1, n)
+    )
+
+
+def test_indecomposable_matches_recursive_definition():
+    assert [indecomposable_count(n) for n in range(80, 0, -1)] == [
+        _indecomposable_recursive(n) for n in range(80, 0, -1)
+    ]
+
+
 @given(n=st.integers(1, 9))
 @settings(max_examples=20, deadline=None)
 def test_indecomposable_inversion_identity(n):
@@ -199,6 +217,23 @@ def _pair_profile_full(L: int) -> list:
     return f[L]
 
 
+def _pair_profile_dp(L: int) -> tuple:
+    """Big-integer DP over block counts: column r holds the counts for
+    rem = r..L steps in r blocks, built from the nonzero rows of column r-1."""
+    w = [
+        indecomposable_count(m) * math.comb(2 * m - 2, m - 1) for m in range(L, 0, -1)
+    ]  # w[i] is the weight of a block of L - i steps
+    col = [1] + [0] * L
+    out = []
+    for r in range(1, L + 1):
+        col = [0] * r + [
+            sum(map(operator.mul, col[r - 1 : rem], w[L - rem + r - 1 :]))
+            for rem in range(r, L + 1)
+        ]
+        out.append(col[L])
+    return tuple(out)
+
+
 def _second_moment_hypercube_exact(L: int, x: Fraction) -> Fraction:
     """Independent rational evaluation of the shared-node-chain sum:
     pairs meeting along r blocks of sizes (m_1..m_r) contribute
@@ -214,6 +249,29 @@ def _second_moment_hypercube_exact(L: int, x: Fraction) -> Fraction:
 def test_pair_profile_matches_triple_loop():
     for L in range(2, 41):
         assert moments._hypercube_pair_profile(L) == tuple(_pair_profile_full(L)[1:])
+
+
+@pytest.mark.parametrize("L", [41, 64, 97, 128])
+def test_pair_profile_matches_big_integer_dp(L):
+    assert moments._hypercube_pair_profile(L) == _pair_profile_dp(L)
+
+
+def _is_prime(p: int) -> bool:
+    return p > 1 and bool(np.all(p % np.arange(2, math.isqrt(p) + 1) != 0))
+
+
+@pytest.mark.parametrize("L", [2, 256, 1024])
+def test_crt_primes_cover_the_count_bound(L):
+    primes = moments._crt_primes(L)
+    assert len(set(primes)) == len(primes)
+    assert all(_is_prime(p) for p in primes)
+    assert all((L + 1) * (p - 1) ** 2 < 2**53 for p in primes)
+    assert math.prod(primes) > 8**L * math.factorial(L)
+
+
+def test_pair_profile_rejects_one_step():
+    with pytest.raises(ValueError):
+        moments._hypercube_pair_profile(1)
 
 
 def test_golden_pair_profile():
@@ -290,8 +348,6 @@ def test_second_moment_hypercube_vs_exact_rational(L):
 
 def test_second_moment_hypercube_mc_cross_check():
     # all-path enumeration on sampled 5-cubes, matched against the exact sum
-    import numpy as np
-
     from pathscape import hypercube, stats
 
     L, x, n = 5, 0.2, 4000

@@ -131,6 +131,15 @@ def test_existence_budget_retires_only_its_replica():
     assert est.estimate == hits / (n - over)
 
 
+def test_existence_mc_independent_of_threads():
+    L, x, budget = 9, 0.0, 2000
+    (a, b), *_ = tree.replica_blocks(L, x, 0, 10**6)
+    n = 3 * (b - a) + 5
+    one = tree_existence_mc(L, x, n, SEED, budget=budget, threads=1)
+    assert 0 < one.budget_hits < n
+    assert tree_existence_mc(L, x, n, SEED, budget=budget, threads=2) == one
+
+
 def test_theta_batch_thread_and_block_invariance():
     L, x = 8, 0.2
     (a, b), *_ = tree.replica_blocks(L, x, 0, 10**6)
