@@ -14,7 +14,6 @@ from .hypercube import (
     count_open_paths,
     generate_hypercube,
     path_exists,
-    theta_k_factorized,
     theta_k_hypercube,
 )
 from .moments import (
@@ -52,7 +51,6 @@ __all__ = [
     "sample_theta_tree",
     "scaled_limits",
     "second_moment_tree",
-    "theta_k_factorized",
     "theta_k_hypercube",
     "theta_k_tree",
     "tree_existence_mc",

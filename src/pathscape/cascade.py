@@ -146,6 +146,8 @@ def cascade_limit_check(
     from .stats import Sample, exponential_law, ks_statistic
 
     batch = sample_cascade_batch(CascadeParams(k, delta, seed, samples=n), threads)
+    if batch.budget_hits == n:
+        raise BudgetExceededError("all cascade realizations exceeded atom budget")
     ks = ks_statistic(Sample.from_values(batch.ys), exponential_law(1.0))
     gap = _delta0_sup() * (4.0 / 27.0) / 2.0**k
     return CascadeKSReport(

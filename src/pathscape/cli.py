@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, cascade, hypercube, mc, moments, recursion, stats, tree, verify
 from .parallel import ENV_THREADS, resolve_threads
-from .rng import PHILOX_TAG, SPLITMIX_TAG, derive_seed
+from .rng import PHILOX_TAG, SPLITMIX_TAG
 
 DEFAULT_SEED = verify.DEFAULT_SEED
 
@@ -111,12 +111,12 @@ def _add_x_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_x(args) -> tuple[float, str]:
+def _resolve_x(args) -> float:
     if args.x_scaled is not None:
-        return args.x_scaled / args.dim, "x=X/L"
+        return args.x_scaled / args.dim
     if args.logscaled is not None:
-        return (math.log(args.dim) + args.logscaled) / args.dim, "x=(lnL+X)/L"
-    return (args.x if args.x is not None else 0.0), "x"
+        return (math.log(args.dim) + args.logscaled) / args.dim
+    return args.x if args.x is not None else 0.0
 
 
 def _summary(values) -> dict:
@@ -134,7 +134,7 @@ def _summary(values) -> dict:
 
 
 def _cmd_hypercube(args):
-    x, regime = _resolve_x(args)
+    x = _resolve_x(args)
     if args.action == "count":
         thetas = mc.hypercube_theta_batch(
             args.dim, x, args.seed, args.samples, threads=args.threads
@@ -153,8 +153,7 @@ def _cmd_hypercube(args):
         return {"estimate": p, "stderr": se, "n": args.samples}, PHILOX_TAG
     # thetak
     vals = mc.hypercube_theta_k_batch(
-        args.dim, x, args.k, args.seed, args.samples,
-        factorized=args.factorized, threads=args.threads,
+        args.dim, x, args.k, args.seed, args.samples, threads=args.threads
     )
     out = _summary(vals) if args.samples > 1 else {"theta_k": float(vals[0])}
     out["k"] = args.k
@@ -162,7 +161,7 @@ def _cmd_hypercube(args):
 
 
 def _cmd_tree(args):
-    x, regime = _resolve_x(args)
+    x = _resolve_x(args)
     if args.action == "sample":
         thetas = mc.tree_theta_batch(
             args.dim, x, args.seed, args.samples, budget=args.budget, threads=args.threads
@@ -192,16 +191,16 @@ def _cmd_moments(args):
     if a != "bn" and args.dim is None:
         raise ValueError(f"moments {a} requires --dim")
     if a == "first":
-        x, _ = _resolve_x(args)
+        x = _resolve_x(args)
         return {"mean": moments.expected_paths(args.dim, x)}, None
     if a == "second":
-        x, _ = _resolve_x(args)
+        x = _resolve_x(args)
         return {"second_moment": moments.second_moment_tree(args.dim, x)}, None
     if a == "var-star":
         v = moments.var_star_tree(args.dim)
         return {"var_star": v, "var_star_over_L": v / args.dim}, None
     if a == "cond-var":
-        x, _ = _resolve_x(args)
+        x = _resolve_x(args)
         v = moments.cond_var_tree(args.dim, x, args.k)
         return {"cond_var": v, "cond_var_over_L2": v / args.dim**2, "k": args.k}, None
     if a == "limits":
@@ -221,14 +220,14 @@ def _cmd_moments(args):
     if a == "q0":
         return {"q0": moments.q0(args.dim)}, None
     if a == "pair-tree":
-        x, _ = _resolve_x(args)
+        x = _resolve_x(args)
         return {
             "q": args.q,
             "pair_count": moments.tree_pair_count(args.dim, args.q),
             "open_prob": moments.pair_open_prob_tree(args.dim, args.q, x),
         }, None
     if a == "pair-cube":
-        x, _ = _resolve_x(args)
+        x = _resolve_x(args)
         return {
             "p": args.p,
             "q": args.q,
@@ -337,7 +336,6 @@ def build_parser() -> _Parser:
     _add_x_flags(hc)
     hc.add_argument("--k", type=int, default=1)
     hc.add_argument("--samples", type=int, default=1)
-    hc.add_argument("--factorized", action="store_true")
     hc.set_defaults(handler=_cmd_hypercube)
 
     tr = sub.add_parser("tree", parents=[common])
@@ -425,6 +423,11 @@ def run(argv=None) -> int:
             code = EXIT_OK
         # strict JSON: a non-finite value is refused here, never printed
         lines = [rec.to_json() for rec in records]
+        if args.csv:
+            try:
+                _write_csv(args.csv, records)
+            except OSError as exc:
+                raise ValueError(f"cannot write --csv: {exc}") from exc
     except (ValueError, KeyError, hypercube.PathCountOverflowError) as exc:
         print(json.dumps({"error": "parameters", "message": str(exc)}), file=sys.stderr)
         return EXIT_PARAMS
@@ -434,8 +437,6 @@ def run(argv=None) -> int:
 
     for line in lines:
         print(line)
-    if args.csv:
-        _write_csv(args.csv, records)
     return code
 
 

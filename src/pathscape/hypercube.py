@@ -55,26 +55,10 @@ class HypercubeLandscape:
             raise ValueError("fitness array size must be 2^dim")
 
 
-@dataclass(frozen=True)
-class LevelCounts:
-    """Open-prefix counts for every node of one level.
-
-    ``counts[i]`` is the number of open paths from the starting corner to
-    ``masks[i]`` (or from ``masks[i]`` to the top corner when mirrored).
-    """
-
-    level: int
-    from_top: bool
-    masks: np.ndarray
-    counts: np.ndarray
-
-
-def generate_hypercube(
-    L: int, x: float, seed: int, replica: int = 0, dim_cap: int = DEFAULT_DIM_CAP
-) -> HypercubeLandscape:
+def generate_hypercube(L: int, x: float, seed: int, replica: int = 0) -> HypercubeLandscape:
     """Draw a seeded landscape; same (L, x, seed, replica) is bit-exact."""
-    if not 1 <= L <= dim_cap:
-        raise ValueError(f"dim must be in [1, {dim_cap}], got {L}")
+    if not 1 <= L <= DEFAULT_DIM_CAP:
+        raise ValueError(f"dim must be in [1, {DEFAULT_DIM_CAP}], got {L}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"origin value must be in [0, 1], got {x}")
     rng = philox_stream(seed, replica)
@@ -173,16 +157,6 @@ def path_exists(land: HypercubeLandscape) -> bool:
     return True
 
 
-def level_counts(land: HypercubeLandscape, k: int, from_top: bool = False) -> LevelCounts:
-    """Open-prefix counts at level k (k steps from the chosen corner)."""
-    L = land.dim
-    if not 0 <= k <= L:
-        raise ValueError(f"level must be in [0, {L}], got {k}")
-    counts = (_counts_to_top if from_top else _counts_from_origin)(land.fitness, L, k)
-    masks = _level_masks(L, L - k if from_top else k)
-    return LevelCounts(level=k, from_top=from_top, masks=masks, counts=counts)
-
-
 @lru_cache(maxsize=8)
 def _comparable_pairs(L: int, k: int) -> np.ndarray:
     """Flat positions in the (C(L, k), C(L, k)) matrix of the comparable
@@ -223,23 +197,6 @@ def theta_k_hypercube(land: HypercubeLandscape, k: int) -> float:
     w = np.zeros((ns, ns))
     w.ravel()[flat[ok]] = (L - 2 * k) * base[ok] ** (L - 2 * k - 1)
     return float(n @ w @ m)
-
-
-def theta_k_factorized(land: HypercubeLandscape, k: int) -> float:
-    """Factorized upper proxy: the product of the two corner sums
-    sum_sigma n_sigma (1-x_sigma)^(L-2k-1) * sum_tau m_tau (1-y_tau)^(L-2k-1).
-
-    Dominates theta_k_hypercube(land, k) / L pointwise.
-    """
-    L = land.dim
-    if not 0 <= 2 * k < L:
-        raise ValueError(f"need 0 <= 2k < L, got k={k}, L={L}")
-    n = _counts_from_origin(land.fitness, L, k).astype(float)
-    m = _counts_to_top(land.fitness, L, k).astype(float)
-    xs = land.fitness[_level_masks(L, k)]
-    ys = 1.0 - land.fitness[_level_masks(L, L - k)]
-    e = L - 2 * k - 1
-    return float((n * (1.0 - xs) ** e).sum() * (m * (1.0 - ys) ** e).sum())
 
 
 def enumerate_paths_oracle(land: HypercubeLandscape) -> int:

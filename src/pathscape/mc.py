@@ -39,11 +39,9 @@ def hypercube_theta_k_batch(
     k: int,
     seed: int,
     samples: int,
-    factorized: bool = False,
     threads: int | None = None,
 ) -> np.ndarray:
-    fn = hypercube.theta_k_factorized if factorized else hypercube.theta_k_hypercube
-    worker = partial(_cube_chunk, fn, np.float64, L, x, seed, (k,))
+    worker = partial(_cube_chunk, hypercube.theta_k_hypercube, np.float64, L, x, seed, (k,))
     return map_replicas(worker, samples, threads)
 
 

@@ -234,25 +234,11 @@ def a_bound_check(L: int) -> BoundReport:
     )
 
 
-def a_bound_smallest_violating_L(L_values) -> int | None:
-    """Smallest L among L_values where the split bound fails, if any."""
-    bad = [L for L in sorted(L_values) if not a_bound_check(L).holds]
-    return bad[0] if bad else None
-
-
 def pair_open_prob_tree(L: int, q: int, x: float) -> float:
     """Probability that both paths of a q-bond-sharing tree pair are open:
-    (1-x)^(2L-q-2)/(2L-q-2)! * C(2L-2q-2, L-q-1)."""
-    _check_q(L, q)
-    if x >= 1.0:
-        return 0.0
-    log_p = (
-        (2 * L - q - 2) * math.log1p(-x)
-        + gammaln(2 * L - 2 * q - 1)
-        - 2 * gammaln(L - q)
-        - gammaln(2 * L - q - 1)
-    )
-    return float(math.exp(log_p))
+    (1-x)^(2L-q-2)/(2L-q-2)! * C(2L-2q-2, L-q-1), the hypercube pair
+    probability with no shared first steps."""
+    return pair_open_prob_hypercube(L, 0, q, x)
 
 
 def tree_pair_count(L: int, q: int) -> int:

@@ -51,7 +51,8 @@ def map_replicas(
     spans: Sequence[tuple[int, int]] = [
         (int(bounds[i]), int(bounds[i + 1])) for i in range(threads)
     ]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # fork starts every worker at once: never more processes than cores
+    with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
         chunks = list(pool.map(_call_worker, [(worker, a, b) for a, b in spans]))
     return np.concatenate(chunks)
 

@@ -52,15 +52,6 @@ class TreeParams:
             raise ValueError("node_budget must be positive")
 
 
-@dataclass(frozen=True)
-class AliveFront:
-    """Open prefixes at one level: (node value, digest) per alive node."""
-
-    level: int
-    values: tuple[float, ...]
-    digests: tuple[int, ...]
-
-
 def _root_digest(seed: int) -> int:
     return splitmix64(seed & _M64)
 
@@ -148,22 +139,14 @@ def theta_k_block(seeds: np.ndarray, L: int, x: float, k: int, budget: int) -> n
     return np.array([theta_k_from_front(front.tolist(), L, k) for front in fronts])
 
 
-def _walk_one(p: TreeParams, depth: int):
-    seeds = np.array([p.seed & _M64], dtype=np.uint64)
-    values, digests, _, over_at = _walk(seeds, p.dim, p.root_value, depth, p.node_budget)
-    _raise_over_budget(over_at, p.node_budget)
-    return values, digests
+def _one_seed(params: TreeParams) -> np.ndarray:
+    return np.array([params.seed & _M64], dtype=np.uint64)
 
 
 def sample_theta_tree(params: TreeParams) -> int:
     """Exact Theta for the seeded realization."""
-    return int(np.count_nonzero(_walk_one(params, params.dim - 1)[0] < 1.0))
-
-
-def alive_front(params: TreeParams, k: int) -> AliveFront:
-    """Open prefixes at level k, in BFS order."""
-    values, digests = _walk_one(params, k)
-    return AliveFront(level=k, values=tuple(values.tolist()), digests=tuple(digests.tolist()))
+    seeds = _one_seed(params)
+    return int(theta_block(seeds, params.dim, params.root_value, params.node_budget)[0])
 
 
 def theta_k_from_front(front_values, L: int, k: int) -> float:
@@ -174,7 +157,8 @@ def theta_k_from_front(front_values, L: int, k: int) -> float:
 
 def theta_k_tree(params: TreeParams, k: int) -> float:
     """Exact conditional expectation of Theta given the first k levels."""
-    return theta_k_from_front(alive_front(params, k).values, params.dim, k)
+    seeds = _one_seed(params)
+    return float(theta_k_block(seeds, params.dim, params.root_value, k, params.node_budget)[0])
 
 
 @dataclass(frozen=True)

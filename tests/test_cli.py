@@ -1,13 +1,19 @@
 """Command-line contract: records, exit codes, CSV mirroring, rerun identity."""
 
+import concurrent.futures
 import csv
 import json
 import math
+import os
+import re
+import shlex
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pathscape import cli, hypercube, verify
+from pathscape import cli, hypercube, parallel, verify
 from pathscape.parallel import ENV_THREADS, resolve_threads
 
 
@@ -83,6 +89,17 @@ def test_budget_exhaustion_exits_3(capsys):
 def test_tree_exists_all_over_budget_exits_3(capsys):
     code, records, err = _run(
         capsys, "tree", "exists", "--dim", "12", "--x", "0", "--samples", "5", "--budget", "10"
+    )
+    assert code == 3
+    assert records == []
+    assert json.loads(err.splitlines()[-1])["error"] == "budget"
+
+
+@pytest.mark.parametrize("action", ["sample", "ks"])
+def test_cascade_all_over_budget_exits_3(capsys, action):
+    # at delta = 1e-300 every realization passes the atom budget
+    code, records, err = _run(
+        capsys, "cascade", action, "--k", "4", "--delta", "1e-300", "--samples", "2"
     )
     assert code == 3
     assert records == []
@@ -194,6 +211,40 @@ def test_resolve_threads_defaults(monkeypatch):
     assert resolve_threads(None) == 2
 
 
+def test_map_replicas_caps_pool_at_cpu_count(monkeypatch):
+    # a stand-in pool runs the chunks in this process, so no process starts
+    seen = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    spans = []
+
+    def worker(a, b):
+        spans.append((a, b))
+        return np.arange(a, b)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for threads, workers in [(8, 3), (2, 2)]:
+        spans.clear()
+        out = parallel.map_replicas(worker, 40, threads)
+        assert seen.pop() == workers
+        step = 40 // threads
+        assert spans == [(a, a + step) for a in range(0, 40, step)]
+        assert out.tolist() == list(range(40))
+
+
 def test_deterministic_rerun_is_byte_identical(capsys):
     argv = ["hypercube", "count", "--dim", "6", "--x", "0.2", "--seed", "11"]
     cli.run(argv)
@@ -234,6 +285,35 @@ def test_csv_mirror(capsys, tmp_path):
     assert rows[0]["command"] == "moments.a-coeff"
     assert float(rows[0]["stats.a"]) == records[0]["stats"]["a"]
     assert "wall_time_s" in rows[0]
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-directory"])
+def test_unwritable_csv_exits_2_before_stdout(capsys, tmp_path, target):
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "out.csv"
+    code, records, err = _run(capsys, "moments", "q0", "--dim", "12", "--csv", str(path))
+    assert code == 2
+    assert records == []
+    assert json.loads(err.splitlines()[-1])["error"] == "parameters"
+
+
+def _readme_commands() -> list:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M)
+    return [
+        shlex.split(line)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("pathscape ")
+    ]
+
+
+def test_readme_examples_parse():
+    # parse only: a documented flag that the parser lacks exits 2
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_recursion_commands(capsys):

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from pathscape import mc, moments, stats
 from pathscape.hypercube import (
     HypercubeLandscape,
+    _counts_from_origin,
+    _counts_to_top,
+    _level_masks,
     _level_tables,
     count_open_paths,
     enumerate_paths_oracle,
     generate_hypercube,
-    level_counts,
     path_exists,
-    theta_k_factorized,
     theta_k_hypercube,
 )
 
@@ -50,13 +51,13 @@ def test_level_tables_hold_one_copy():
 
 
 def test_cached_tables_are_read_only():
-    # level_counts hands out views of the shared cache: a write through them
+    # _level_masks hands out views of the shared cache: a write through them
     # would change every later count of this landscape (12 -> 10)
     land = generate_hypercube(4, 0.0, SEED, replica=44)
     assert count_open_paths(land) == 12
-    lc = level_counts(land, 2)
+    masks = _level_masks(4, 2)
     with pytest.raises(ValueError):
-        lc.masks[:] = lc.masks[::-1]
+        masks[:] = masks[::-1]
     order, _, preds = _level_tables(4)
     for arr in (order, *preds):
         with pytest.raises(ValueError):
@@ -184,20 +185,19 @@ def test_counts_from_top_against_enumeration(L):
         raw = generate_hypercube(L, 0.2, SEED, replica=r)
         for land in (raw, _tied(raw)):
             for k in range(L + 1):
-                lc = level_counts(land, k, from_top=True)
-                for tau, m in zip(lc.masks.tolist(), lc.counts.tolist()):
+                counts = _counts_to_top(land.fitness, L, k)
+                for tau, m in zip(_level_masks(L, L - k).tolist(), counts.tolist()):
                     assert m == _counts_to_top_oracle(land, tau)
 
 
 def test_level_counts_invariants():
     land = generate_hypercube(6, 0.2, SEED)
-    assert level_counts(land, 0).counts.tolist() == [1]
+    assert _counts_from_origin(land.fitness, 6, 0).tolist() == [1]
     for k in range(1, 4):
-        lc = level_counts(land, k)
-        assert (lc.counts <= math.factorial(k)).all()
-        assert (lc.counts >= 0).all()
-    top = level_counts(land, 0, from_top=True)
-    assert top.counts.tolist() == [1]
+        counts = _counts_from_origin(land.fitness, 6, k)
+        assert (counts <= math.factorial(k)).all()
+        assert (counts >= 0).all()
+    assert _counts_to_top(land.fitness, 6, 0).tolist() == [1]
 
 
 def _theta_k_path_oracle(land: HypercubeLandscape, k: int) -> float:
@@ -263,17 +263,6 @@ def test_theta_mean_matches_closed_form(hypercube_thetas_10):
     assert abs(summ.mean - target) <= 4 * summ.mean_stderr
 
 
-def test_theta_k_factorized_dominates():
-    L = 9
-    for r in range(20):
-        land = generate_hypercube(L, 0.1, SEED, replica=r)
-        for k in (1, 2, 3):
-            assert (
-                L * theta_k_factorized(land, k)
-                >= theta_k_hypercube(land, k) - 1e-9
-            )
-
-
 def test_theta_k_domain():
     land = generate_hypercube(6, 0.0, SEED)
     with pytest.raises(ValueError):
@@ -300,17 +289,10 @@ def _digest(values) -> str:
 
 # Digests recorded from the separate top-corner DP (np.add.at scatter) that
 # preceded the reflected-cube call; seeded output must stay bit-exact.
-@pytest.mark.parametrize(
-    "factorized, expect",
-    [
-        (False, "66074e53ccfb2307502e7dcdb092ea3508c450b483ccd2356c2d148a9e1cd3a9"),
-        (True, "5a03a28a70bf04c5cab7d291916cf988bb0bc4a346b519ae5292c5a6997248c1"),
-    ],
-)
-def test_golden_theta_k_batch(master_seed, factorized, expect):
-    vals = mc.hypercube_theta_k_batch(12, 0.1, 3, master_seed, 300, factorized=factorized)
+def test_golden_theta_k_batch(master_seed):
+    vals = mc.hypercube_theta_k_batch(12, 0.1, 3, master_seed, 300)
     assert vals.dtype == np.float64
-    assert _digest(vals) == expect
+    assert _digest(vals) == "66074e53ccfb2307502e7dcdb092ea3508c450b483ccd2356c2d148a9e1cd3a9"
 
 
 def test_golden_counts_from_top(master_seed):
@@ -318,7 +300,7 @@ def test_golden_counts_from_top(master_seed):
     for L in range(2, 11):
         land = generate_hypercube(L, 0.1, master_seed, replica=L)
         for k in range(L + 1):
-            counts = level_counts(land, k, from_top=True).counts
+            counts = _counts_to_top(land.fitness, L, k)
             assert counts.dtype == np.int64
             h.update(np.ascontiguousarray(counts).tobytes())
     assert h.hexdigest() == "770cf484ecc4b145b377f8f0943e71d8ebc1067c6eca9b26cb80515a60fa4998"
@@ -357,9 +339,9 @@ def test_golden_counts_from_origin(master_seed):
     for L in range(2, 11):
         land = generate_hypercube(L, 0.1, master_seed, replica=L)
         for k in range(L + 1):
-            lc = level_counts(land, k)
-            assert lc.masks.dtype == np.int64
-            assert lc.counts.dtype == np.int64
-            h.update(np.ascontiguousarray(lc.masks).tobytes())
-            h.update(np.ascontiguousarray(lc.counts).tobytes())
+            masks, counts = _level_masks(L, k), _counts_from_origin(land.fitness, L, k)
+            assert masks.dtype == np.int64
+            assert counts.dtype == np.int64
+            h.update(np.ascontiguousarray(masks).tobytes())
+            h.update(np.ascontiguousarray(counts).tobytes())
     assert h.hexdigest() == "86bc18cf4ee00ca51d534f0497c242c35895be35821a11da87daed673f9faf2a"

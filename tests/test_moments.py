@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from pathscape import moments
 from pathscape.moments import (
     a_bound_check,
-    a_bound_smallest_violating_L,
     a_coeff,
     cond_var_tree,
     expected_paths,
@@ -89,8 +88,7 @@ def test_split_bound_report():
     # exact-arithmetic scan put the threshold at L = 900
     assert a_bound_check(899).holds is False
     assert a_bound_check(900).holds
-    assert a_bound_smallest_violating_L([100, 500, 2000]) == 100
-    assert a_bound_smallest_violating_L([900, 2000]) is None
+    assert a_bound_check(2000).holds
 
 
 def test_q0_value():

@@ -12,7 +12,6 @@ from pathscape.rng import derive_seed
 from pathscape.tree import (
     BudgetExceededError,
     TreeParams,
-    alive_front,
     enumerate_tree_paths_oracle,
     sample_theta_tree,
     theta_k_from_front,
@@ -74,11 +73,12 @@ def test_monotone_pruning_in_root_value(seed, lo, hi):
 
 
 def test_alive_front_values_exceed_root():
-    params = TreeParams(8, 0.35, SEED)
+    L, x = 8, 0.35
+    seeds = np.array([SEED], dtype=np.uint64)
     for k in (1, 2, 3):
-        front = alive_front(params, k)
-        assert front.level == k
-        assert all(v > params.root_value for v in front.values)
+        values, _, owner, _ = tree._walk(seeds, L, x, k, tree.DEFAULT_NODE_BUDGET)
+        assert (owner == 0).all()
+        assert (values > x).all()
 
 
 def test_theta_k_from_front_hand_values():
@@ -166,7 +166,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         TreeParams(3, 0.0, 1, node_budget=0)
     with pytest.raises(ValueError):
-        alive_front(TreeParams(3, 0.0, 1), 3)
+        theta_k_tree(TreeParams(3, 0.0, 1), 3)
     with pytest.raises(ValueError):
         enumerate_tree_paths_oracle(TreeParams(9, 0.0, 1))
     with pytest.raises(ValueError):
