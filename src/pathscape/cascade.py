@@ -19,12 +19,12 @@ Expected materialized atoms at generation j scale as ln(1/delta)^j / j!.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
+from . import stats
 from .parallel import map_replicas
 from .rng import philox_stream
 from .tree import BudgetExceededError
@@ -54,16 +54,6 @@ class CascadeSample:
     y: float
     atoms_visited: int
     bias_bound: float
-
-
-def sample_unit_poisson_atoms(delta_rel: float, rng: np.random.Generator) -> np.ndarray:
-    """Atoms above delta_rel of one Poisson process with intensity dx/x
-    on (0, 1]: Poisson(ln(1/delta_rel)) many, log-uniform positions."""
-    if not 0.0 < delta_rel < 1.0:
-        raise ValueError(f"delta_rel must be in (0, 1), got {delta_rel}")
-    lam = math.log(1.0 / delta_rel)
-    n = rng.poisson(lam)
-    return np.exp(-lam * rng.random(n))
 
 
 def sample_cascade(params: CascadeParams, rng: np.random.Generator) -> CascadeSample:
@@ -112,17 +102,23 @@ def _cascade_chunk(params: CascadeParams, start: int, stop: int) -> np.ndarray:
 
 
 def sample_cascade_batch(params: CascadeParams, threads: int | None = None) -> CascadeBatch:
-    """params.samples independent realizations on derived replica streams."""
+    """params.samples independent realizations on derived replica streams.
+
+    Realizations that exhaust the atom budget are left out and counted in
+    budget_hits; when every one does, BudgetExceededError is raised.
+    """
     rows = map_replicas(partial(_cascade_chunk, params), params.samples, threads)
     kept = rows[~np.isnan(rows[:, 0])]
+    n = len(kept)
+    if n == 0:
+        raise BudgetExceededError("all cascade realizations exceeded atom budget")
     bias = 0.0
     for b in kept[:, 1].tolist():  # one by one in replica order: records pin the bits
         bias += b
-    n = len(kept)
     return CascadeBatch(
         ys=kept[:, 0].copy(),
-        mean_bias=bias / n if n else math.nan,
-        mean_atoms=int(kept[:, 2].sum()) / n if n else math.nan,
+        mean_bias=bias / n,
+        mean_atoms=int(kept[:, 2].sum()) / n,
         budget_hits=params.samples - n,
     )
 
@@ -143,12 +139,8 @@ def cascade_limit_check(
 ) -> CascadeKSReport:
     """KS distance of n sampled Y_k against Exp(1), with the theoretical
     finite-k gap M * sup_z z^2/(1+z)^3 / 2^k quoted alongside."""
-    from .stats import Sample, exponential_law, ks_statistic
-
     batch = sample_cascade_batch(CascadeParams(k, delta, seed, samples=n), threads)
-    if batch.budget_hits == n:
-        raise BudgetExceededError("all cascade realizations exceeded atom budget")
-    ks = ks_statistic(Sample.from_values(batch.ys), exponential_law(1.0))
+    ks = stats.ks_statistic(stats.Sample.from_values(batch.ys), stats.exponential_law())
     gap = _delta0_sup() * (4.0 / 27.0) / 2.0**k
     return CascadeKSReport(
         generations=k,
@@ -161,14 +153,9 @@ def cascade_limit_check(
     )
 
 
-_DELTA0_SUP: float | None = None
-
-
+@cache
 def _delta0_sup() -> float:
-    """sup over z >= 0 of (1+z)^3/z^2 * (1/(1+z) - exp(-z)), cached."""
-    global _DELTA0_SUP
-    if _DELTA0_SUP is None:
-        z = np.linspace(1e-6, 200.0, 400001)
-        d0 = (1.0 + z) ** 3 / z**2 * (1.0 / (1.0 + z) - np.exp(-z))
-        _DELTA0_SUP = float(d0.max())
-    return _DELTA0_SUP
+    """sup over z >= 0 of (1+z)^3/z^2 * (1/(1+z) - exp(-z))."""
+    z = np.linspace(1e-6, 200.0, 400001)
+    d0 = (1.0 + z) ** 3 / z**2 * (1.0 / (1.0 + z) - np.exp(-z))
+    return float(d0.max())

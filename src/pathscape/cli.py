@@ -119,15 +119,11 @@ def _resolve_x(args) -> float:
     return args.x if args.x is not None else 0.0
 
 
-def _summary(values) -> dict:
-    s = stats.moment_summary(stats.Sample.from_values(values))
-    return {
-        "n": s.n,
-        "mean": s.mean,
-        "variance": s.variance,
-        "mean_stderr": s.mean_stderr,
-        "variance_stderr": s.variance_stderr,
-    }
+def _sample_stats(values, key: str) -> dict:
+    """{key: value} for one replica, the moment summary for more."""
+    if len(values) == 1:
+        return {key: values[0].item()}
+    return asdict(stats.moment_summary(stats.Sample.from_values(values)))
 
 
 # --- subcommand handlers; each returns (stats dict, rng tag or None) --------
@@ -139,9 +135,7 @@ def _cmd_hypercube(args):
         thetas = mc.hypercube_theta_batch(
             args.dim, x, args.seed, args.samples, threads=args.threads
         )
-        if args.samples == 1:
-            return {"theta": int(thetas[0])}, PHILOX_TAG
-        return _summary(thetas.astype(float)), PHILOX_TAG
+        return _sample_stats(thetas, "theta"), PHILOX_TAG
     if args.action == "exists":
         hits = mc.hypercube_exists_batch(
             args.dim, x, args.seed, args.samples, threads=args.threads
@@ -155,9 +149,7 @@ def _cmd_hypercube(args):
     vals = mc.hypercube_theta_k_batch(
         args.dim, x, args.k, args.seed, args.samples, threads=args.threads
     )
-    out = _summary(vals) if args.samples > 1 else {"theta_k": float(vals[0])}
-    out["k"] = args.k
-    return out, PHILOX_TAG
+    return _sample_stats(vals, "theta_k") | {"k": args.k}, PHILOX_TAG
 
 
 def _cmd_tree(args):
@@ -166,23 +158,17 @@ def _cmd_tree(args):
         thetas = mc.tree_theta_batch(
             args.dim, x, args.seed, args.samples, budget=args.budget, threads=args.threads
         )
-        if args.samples == 1:
-            return {"theta": int(thetas[0])}, SPLITMIX_TAG
-        return _summary(thetas.astype(float)), SPLITMIX_TAG
+        return _sample_stats(thetas, "theta"), SPLITMIX_TAG
     if args.action == "thetak":
         vals = mc.tree_theta_k_batch(
             args.dim, x, args.k, args.seed, args.samples,
             budget=args.budget, threads=args.threads,
         )
-        out = _summary(vals) if args.samples > 1 else {"theta_k": float(vals[0])}
-        out["k"] = args.k
-        return out, SPLITMIX_TAG
+        return _sample_stats(vals, "theta_k") | {"k": args.k}, SPLITMIX_TAG
     # exists
     est = tree.tree_existence_mc(
         args.dim, x, args.samples, args.seed, args.budget, threads=args.threads
     )
-    if est.budget_hits == args.samples:
-        raise tree.BudgetExceededError("all tree realizations exceeded node budget")
     return asdict(est), SPLITMIX_TAG
 
 
@@ -256,12 +242,15 @@ def _cmd_recursion(args):
         return {
             "p": _at(gf, args.at),
             "at": args.at,
-            "p_star": float(np.trapezoid(gf.values, dx=gf.step)),
+            "p_star": gf.integral(),
         }, None
     if a == "fk":
         gf = recursion.fk_iterate(args.k, args.zmax, args.grid)
-        sup = float(np.abs(gf.values - 1.0 / (1.0 + gf.xs)).max())
-        return {"F_k": _at(gf, args.at), "at": args.at, "sup_gap_to_limit": sup}, None
+        return {
+            "F_k": _at(gf, args.at),
+            "at": args.at,
+            "sup_gap_to_limit": recursion.fk_limit_gap(gf),
+        }, None
     # delta-check
     report = recursion.delta_bound_check(args.k, args.zmax, args.grid)
     return asdict(report) | {"ok": report.ok}, None
@@ -271,15 +260,11 @@ def _cmd_cascade(args):
     if args.action == "sample":
         params = cascade.CascadeParams(args.k, args.delta, args.seed, samples=args.samples)
         batch = cascade.sample_cascade_batch(params, threads=args.threads)
-        if batch.budget_hits == args.samples:
-            raise tree.BudgetExceededError("all cascade realizations exceeded atom budget")
-        out = _summary(batch.ys) if len(batch.ys) > 1 else {"y": float(batch.ys[0])}
-        out |= {
+        return _sample_stats(batch.ys, "y") | {
             "mean_bias": batch.mean_bias,
             "mean_atoms": batch.mean_atoms,
             "budget_hits": batch.budget_hits,
-        }
-        return out, PHILOX_TAG
+        }, PHILOX_TAG
     # ks
     report = cascade.cascade_limit_check(
         args.k, args.delta, args.samples, args.seed, threads=args.threads
@@ -404,6 +389,9 @@ def run(argv=None) -> int:
 
     try:
         resolve_threads(args.threads)  # a bad --threads or $PATHSCAPE_THREADS exits 2
+        # streams key on the seed's 64 bits: a wider seed would alias another
+        if not 0 <= args.seed < 2**64:
+            raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
         if getattr(args, "samples", 1) < 1:
             raise ValueError(f"--samples must be >= 1, got {args.samples}")
         if args.group == "verify":
@@ -414,7 +402,7 @@ def run(argv=None) -> int:
                 ExperimentRecord(
                     command=f"{args.group}.{args.action}",
                     params=_record_params(args),
-                    seed=getattr(args, "seed", None),
+                    seed=args.seed,
                     rng=rng_tag,
                     stats=result,
                     wall_time_s=time.perf_counter() - t0,

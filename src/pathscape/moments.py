@@ -37,20 +37,19 @@ REGIME_X_OVER_L = "x=X/L"
 REGIME_LOG_OVER_L = "x=(lnL+X)/L"
 
 
-def _pow1m(x: float, n) -> float:
-    """(1-x)^n for x in [0, 1], stable near x = 0."""
-    if x >= 1.0:
-        return 0.0 if np.any(np.asarray(n) > 0) else 1.0
-    return np.exp(np.asarray(n, dtype=float) * math.log1p(-x))
+def _check_x(x: float) -> None:
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x must be in [0, 1], got {x}")
 
 
 def expected_paths(L: int, x: float) -> float:
     """E[Theta] = L (1-x)^(L-1), tree and hypercube alike."""
+    _check_x(x)
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    return float(L * _pow1m(x, L - 1))
+    if x == 1.0:
+        return float(L == 1)  # 0^0 = 1
+    return float(L * np.exp((L - 1) * math.log1p(-x)))
 
 
 def _check_q(L: int, q: int) -> None:
@@ -97,15 +96,21 @@ def _log_a_all(L: int) -> np.ndarray:
     return out
 
 
+def _tree_pair_log_terms(L: int, x: float) -> np.ndarray:
+    """ln of a(L,q) (1-x)^(2L-q-2), the q-bond pairs' share of E[Theta^2],
+    for q = 0..L-2 and x < 1."""
+    q = np.arange(L - 1, dtype=float)
+    return _log_a_all(L) + (2 * L - q - 2) * math.log1p(-x)
+
+
 def second_moment_tree(L: int, x: float) -> float:
     """E[Theta^2] on the tree, exact finite-L sum over shared-bond classes."""
+    _check_x(x)
     if L < 2:
         raise ValueError(f"L must be >= 2, got {L}")
-    if x >= 1.0:
+    if x == 1.0:
         return 0.0
-    q = np.arange(L - 1, dtype=float)
-    log_terms = _log_a_all(L) + (2 * L - q - 2) * math.log1p(-x)
-    return float(np.exp(log_terms).sum() + expected_paths(L, x))
+    return float(np.exp(_tree_pair_log_terms(L, x)).sum() + expected_paths(L, x))
 
 
 def var_tree(L: int, x: float) -> float:
@@ -124,13 +129,12 @@ def var_star_tree(L: int) -> float:
 
 def cond_var_tree(L: int, x: float, k: int) -> float:
     """E^x[var(Theta | first k tree levels)], exact finite-L form."""
+    _check_x(x)
     if not 1 <= k <= L - 2:
         raise ValueError(f"need 1 <= k <= L-2, got k={k}, L={L}")
-    if x >= 1.0:
+    if x == 1.0:
         return 0.0
-    log_a = _log_a_all(L)
-    q = np.arange(L - 1, dtype=float)
-    log_terms = log_a + (2 * L - q - 2) * math.log1p(-x)
+    log_terms = _tree_pair_log_terms(L, x)
     tail = float(np.exp(log_terms[k + 1 :]).sum())
     isolated = -math.exp(log_terms[k] - math.log(L - k - 1))
     return tail + isolated + expected_paths(L, x)
@@ -170,8 +174,6 @@ def scaled_limits(L: int, X: float, regime: str) -> ScaledMoments:
         limit_mean, limit_var = math.exp(-X), math.exp(-2 * X) + math.exp(-X)
     else:
         raise ValueError(f"unknown regime {regime!r}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"scaled root value {x} outside [0, 1]")
     mean = expected_paths(L, x)
     var = var_tree(L, x)
     return ScaledMoments(
@@ -251,9 +253,10 @@ def tree_pair_count(L: int, q: int) -> int:
 def pair_open_prob_hypercube(L: int, p: int, q: int, x: float) -> float:
     """Open-pair probability for a hypercube pair agreeing on the first p
     and last q steps and disjoint in between."""
+    _check_x(x)
     if p < 0 or q < 0 or p + q > L - 2:
         raise ValueError(f"need p,q >= 0 and p+q <= L-2, got p={p}, q={q}, L={L}")
-    if x >= 1.0:
+    if x == 1.0:
         return 0.0
     s = p + q
     log_p = (
@@ -451,9 +454,10 @@ def second_moment_hypercube(L: int, x: float) -> float:
     Block counts are exact integers; only the final sum is floating point
     (evaluated in log space).
     """
+    _check_x(x)
     if L < 2:
         raise ValueError(f"L must be >= 2, got {L}")
-    if x >= 1.0:
+    if x == 1.0:
         return 0.0
     counts = _hypercube_pair_profile(L)
     log_L_fact = float(gammaln(L + 1))

@@ -33,6 +33,7 @@ Accuracy is auditable by grid doubling rather than adaptive meshing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -46,7 +47,6 @@ class GridFunction:
     a: float
     b: float
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         if len(self.values) < 3:
@@ -64,6 +64,10 @@ class GridFunction:
 
     def __call__(self, x):
         return np.interp(x, self.xs, self.values)
+
+    def integral(self) -> float:
+        """Integral over [a, b], by trapezoid on the grid."""
+        return float(np.trapezoid(self.values, dx=self.step))
 
 
 def _segment_integrals(f: np.ndarray, h: float, seg: np.ndarray, f13: np.ndarray) -> np.ndarray:
@@ -193,9 +197,7 @@ def tree_gf(lam: float, L: int, grid_n: int) -> GridFunction:
     if grid_n < 64:
         raise ValueError(f"grid_n must be >= 64, got {grid_n}")
     if lam == 0.0:
-        return GridFunction(
-            0.0, 1.0, np.ones(grid_n + 1), label=f"G(lam=0, ., L={L})"
-        )
+        return GridFunction(0.0, 1.0, np.ones(grid_n + 1))
     # Iterate on the deficit d = 1 - G.  Storing G itself rounds tail
     # deficits below 1e-16 to zero, and the size-th power amplifies that
     # truncation inward until the whole solution collapses to 1.
@@ -218,7 +220,7 @@ def tree_gf(lam: float, L: int, grid_n: int) -> GridFunction:
     # (log < _UNDERFLOW_LOG), past which it is a true zero.
     c = -math.expm1(-lam) / lam
     d = _deficit_sweeps(c * lam, L, grid_n)
-    return GridFunction(0.0, 1.0, 1.0 - d, label=f"G(lam={lam}, ., L={L})")
+    return GridFunction(0.0, 1.0, 1.0 - d)
 
 
 def existence_prob(L: int, grid_n: int) -> GridFunction:
@@ -231,13 +233,12 @@ def existence_prob(L: int, grid_n: int) -> GridFunction:
     # deficit recursion of tree_gf with d_1 = 1, closed-form tail
     # size*(1-x)^(size-1) included.
     p = _deficit_sweeps(1.0, L, grid_n)
-    return GridFunction(0.0, 1.0, p, label=f"p(., L={L})")
+    return GridFunction(0.0, 1.0, p)
 
 
 def p_star(L: int, grid_n: int) -> float:
     """P*(Theta >= 1) = int_0^1 p(x, L) dx, by trapezoid on the grid."""
-    gf = existence_prob(L, grid_n)
-    return float(np.trapezoid(gf.values, dx=gf.step))
+    return existence_prob(L, grid_n).integral()
 
 
 def _fk_grid(z_max: float, grid_n: int) -> np.ndarray:
@@ -248,24 +249,30 @@ def _fk_grid(z_max: float, grid_n: int) -> np.ndarray:
     return np.linspace(0.0, z_max, grid_n + 1)
 
 
-def _fk_step(f: np.ndarray, zs: np.ndarray, h: float) -> np.ndarray:
-    """F_k from F_{k-1} on the grid zs."""
+def _fk_iterates(zs: np.ndarray):
+    """F_0, F_1, ... on the uniform grid zs (from 0), computed as consumed."""
+    h = zs[-1] / (len(zs) - 1)
+    f = np.exp(-zs)
     integrand = np.empty_like(f)
     integrand[0] = 1.0  # removable singularity: (1 - F(z))/z -> 1
-    integrand[1:] = (1.0 - f[1:]) / zs[1:]
-    return np.exp(-_prefix_integral(integrand, h))
+    while True:
+        yield f
+        integrand[1:] = (1.0 - f[1:]) / zs[1:]
+        f = np.exp(-_prefix_integral(integrand, h))
 
 
 def fk_iterate(k: int, z_max: float, grid_n: int) -> GridFunction:
     """Tabulate the cascade fixed-point iterate F_k on z in [0, z_max]."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    zs = _fk_grid(z_max, grid_n)
-    h = z_max / grid_n
-    f = np.exp(-zs)
-    for _ in range(k):
-        f = _fk_step(f, zs, h)
-    return GridFunction(0.0, z_max, f, label=f"F_{k}")
+    f = next(itertools.islice(_fk_iterates(_fk_grid(z_max, grid_n)), k, None))
+    return GridFunction(0.0, z_max, f)
+
+
+def fk_limit_gap(gf: GridFunction) -> float:
+    """sup over the grid of |F_k(z) - 1/(1+z)|, the distance of an
+    iterate from the fixed point."""
+    return float(np.abs(gf.values - 1.0 / (1.0 + gf.xs)).max())
 
 
 @dataclass(frozen=True)
@@ -302,7 +309,6 @@ def delta_bound_check(
     if z_max < z_min:
         raise ValueError(f"z_max = {z_max} is below z_min = {z_min}: no grid point to check")
     zs = _fk_grid(z_max, grid_n)
-    h = z_max / grid_n
     sel = zs >= z_min
     z = zs[sel]
     limit = 1.0 / (1.0 + z)
@@ -311,10 +317,7 @@ def delta_bound_check(
     max_upper = -math.inf
     max_lower = -math.inf
     M = math.nan
-    f = np.exp(-zs)
-    for k in range(k_max + 1):
-        if k > 0:
-            f = _fk_step(f, zs, h)
+    for k, f in zip(range(k_max + 1), _fk_iterates(zs)):
         delta = 2.0**k * amp * (limit - f[sel])
         if k == 0:
             M = float(delta.max())

@@ -39,21 +39,14 @@ class Sample:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class ReferenceLaw:
-    tag: str
-    cdf: Callable[[np.ndarray], np.ndarray]
-
-
-def exponential_law(mean: float = 1.0) -> ReferenceLaw:
-    if mean <= 0:
-        raise ValueError("mean must be positive")
+def exponential_law():
+    """CDF of the standard exponential (the tree limit law)."""
 
     def cdf(z):
         z = np.asarray(z, dtype=float)
-        return np.where(z < 0, 0.0, -np.expm1(-z / mean))
+        return np.where(z < 0, 0.0, -np.expm1(-z))
 
-    return ReferenceLaw(tag=f"exponential(mean={mean})", cdf=cdf)
+    return cdf
 
 
 def prodexp_survival(z):
@@ -76,21 +69,20 @@ def prodexp_cdf(z):
     return 1.0 - prodexp_survival(z)
 
 
-def product_exponential_law(scale: float = 1.0) -> ReferenceLaw:
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+def product_exponential_law():
+    """CDF of E1*E2 (the hypercube limit law), 0 below 0."""
 
     def cdf(z):
         z = np.asarray(z, dtype=float)
-        return np.where(z < 0, 0.0, prodexp_cdf(np.maximum(z, 0.0) / scale))
+        return np.where(z < 0, 0.0, prodexp_cdf(np.maximum(z, 0.0)))
 
-    return ReferenceLaw(tag=f"product-exponential(scale={scale})", cdf=cdf)
+    return cdf
 
 
-def ks_statistic(s: Sample, law: ReferenceLaw) -> float:
-    """Two-sided sup distance between the ECDF and the law's CDF."""
+def ks_statistic(s: Sample, cdf: Callable) -> float:
+    """Two-sided sup distance between the ECDF and a CDF."""
     n = s.n
-    f = np.asarray(law.cdf(s.values), dtype=float)
+    f = np.asarray(cdf(s.values), dtype=float)
     i = np.arange(1, n + 1)
     d_plus = (i / n - f).max()
     d_minus = (f - (i - 1) / n).max()

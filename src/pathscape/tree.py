@@ -189,7 +189,8 @@ def tree_existence_mc(
     """Monte Carlo estimate of P^x(Theta >= 1) over derived replica seeds.
 
     Realizations that exhaust the budget over the full walk are excluded
-    from the estimate and reported in budget_hits, never counted as zero.
+    from the estimate and reported in budget_hits, never counted as zero;
+    when every one does, BudgetExceededError is raised.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -199,7 +200,7 @@ def tree_existence_mc(
     budget_hits = int(np.count_nonzero(status == -1))
     n_eff = samples - budget_hits
     if n_eff == 0:
-        return ExistenceEstimate(float("nan"), float("nan"), budget_hits, samples)
+        raise BudgetExceededError("all tree realizations exceeded node budget")
     p = hits / n_eff
     se = (p * (1.0 - p) / n_eff) ** 0.5
     return ExistenceEstimate(p, se, budget_hits, samples)

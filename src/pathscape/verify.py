@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -416,8 +416,7 @@ def check_existence(seed: int = DEFAULT_SEED, scale: float = 1.0, threads=None):
 
 def check_fk(seed: int = DEFAULT_SEED, scale: float = 1.0, threads=None):
     gf = recursion.fk_iterate(20, 10.0, 2**14)
-    zs = gf.xs
-    sup = float(np.abs(gf.values - 1.0 / (1.0 + zs)).max())
+    sup = recursion.fk_limit_gap(gf)
     report = recursion.delta_bound_check(12, 10.0, 2**14)
     return [
         CheckResult(
@@ -539,7 +538,7 @@ def check_hypercube_limit_law(seed: int = DEFAULT_SEED, scale: float = 1.0, thre
         )
     )
 
-    law = stats.product_exponential_law(1.0)
+    law = stats.product_exponential_law()
     thetas8 = mc.hypercube_theta_batch(8, X / 8, seed, n, threads=threads).astype(float)
     ks16 = stats.ks_statistic(
         stats.Sample.from_values(thetas16 / (16 * math.exp(-X))), law

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from pathscape import cascade, stats
+from pathscape import stats
 from pathscape.cascade import (
     CascadeParams,
     cascade_limit_check,
     sample_cascade,
     sample_cascade_batch,
-    sample_unit_poisson_atoms,
 )
 from pathscape.rng import philox_stream
 from pathscape.tree import BudgetExceededError
@@ -31,15 +30,16 @@ def test_params_validation():
 
 
 def test_unit_poisson_atoms():
+    # one generation from position 1: Poisson(ln 1/delta) atoms in [delta, 1]
     rng = philox_stream(SEED)
     delta = 1e-3
+    params = CascadeParams(1, delta, SEED)
     counts = []
     for _ in range(2000):
-        atoms = sample_unit_poisson_atoms(delta, rng)
-        counts.append(len(atoms))
-        if len(atoms):
-            assert atoms.min() >= delta * (1 - 1e-12)
-            assert atoms.max() <= 1.0
+        s = sample_cascade(params, rng)
+        counts.append(s.atoms_visited)
+        assert s.bias_bound == delta
+        assert delta * (1 - 1e-12) * s.atoms_visited <= s.y <= s.atoms_visited
     lam = math.log(1.0 / delta)
     mean = float(np.mean(counts))
     se = math.sqrt(lam / len(counts))
@@ -85,6 +85,12 @@ def test_batch_matches_replica_loop_and_thread_count():
     assert one.mean_bias == bias / len(ys)
     assert one.mean_atoms == atoms / len(ys)
     assert one.budget_hits == params.samples - len(ys)
+
+
+def test_batch_with_every_realization_over_budget_raises():
+    params = CascadeParams(4, 1e-9, SEED, samples=3, atom_budget=10)
+    with pytest.raises(BudgetExceededError, match="all cascade realizations"):
+        sample_cascade_batch(params)
 
 
 def test_limit_check_independent_of_threads():

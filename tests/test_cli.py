@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathscape import cli, hypercube, parallel, verify
+from pathscape import cli, hypercube, parallel, tree, verify
 from pathscape.parallel import ENV_THREADS, resolve_threads
 
 
@@ -126,17 +126,58 @@ def test_cascade_all_over_budget_exits_3(capsys, action):
         ["recursion", "fk", "--k", "-1", "--grid", "128"],
         ["verify", "moments", "--scale", "0"],
         ["verify", "moments", "--scale", "inf"],
+        ["moments", "second", "--dim", "5", "--x", "1.5"],
+        ["moments", "cond-var", "--dim", "10", "--x", "2", "--k", "2"],
+        ["moments", "pair-tree", "--dim", "6", "--q", "1", "--x", "-1"],
+        ["moments", "pair-cube", "--dim", "6", "--p", "1", "--q", "1", "--x", "3"],
     ],
     ids=["no-dim", "limits-no-dim", "negative-k", "missing-required", "zero-samples",
          "tree-zero-samples", "zmax-below-zmin", "gf-at-above-grid", "pexist-at-below-grid",
          "cascade-negative-k", "ks-zero-delta", "tree-zero-dim", "exists-x-above-one",
-         "thetak-2k-ge-dim", "fk-negative-k", "verify-zero-scale", "verify-inf-scale"],
+         "thetak-2k-ge-dim", "fk-negative-k", "verify-zero-scale", "verify-inf-scale",
+         "second-x-above-one", "cond-var-x-above-one", "pair-tree-x-below-zero",
+         "pair-cube-x-above-one"],
 )
 def test_bad_invocation_exits_2_with_json_error(capsys, argv):
     code, records, err = _run(capsys, *argv)
     assert code == 2
     assert records == []
     assert json.loads(err.splitlines()[-1])["error"] == "parameters"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hypercube", "count", "--dim", "6", "--seed", "-1"],
+        ["tree", "sample", "--dim", "6", "--seed", str(2**64)],
+        ["verify", "moments", "--seed", str(2**64 + 5)],
+    ],
+)
+def test_seed_outside_64_bits_exits_2(capsys, argv):
+    # streams use the seed's low 64 bits, so a wider seed would alias another
+    code, records, err = _run(capsys, *argv)
+    assert code == 2
+    assert records == []
+    assert "--seed" in json.loads(err.splitlines()[-1])["message"]
+
+
+def test_seed_range_ends_are_accepted(capsys):
+    for seed in (0, 2**64 - 1):
+        code, records, _ = _run(capsys, "tree", "sample", "--dim", "5", "--seed", str(seed))
+        assert code == 0
+        assert records[0]["seed"] == seed
+
+
+def test_verify_check_with_every_realization_over_budget_exits_3(capsys, monkeypatch):
+    def exhausted(seed, scale, threads):
+        est = tree.tree_existence_mc(12, 0.0, 5, seed, budget=10)
+        return [verify.CheckResult("exhausted", True, {"p": est.estimate}, {})]
+
+    monkeypatch.setitem(verify.BATTERIES, "moments", [exhausted])
+    code, records, err = _run(capsys, "verify", "moments")
+    assert code == 3
+    assert records == []
+    assert json.loads(err.splitlines()[-1])["error"] == "budget"
 
 
 def test_path_count_overflow_exits_2(capsys, monkeypatch):

@@ -112,9 +112,9 @@ def test_budget_is_an_error_not_zero():
 
 
 def test_existence_mc_reports_budget_hits():
-    est = tree_existence_mc(12, 0.0, 20, SEED, budget=50)
-    assert est.budget_hits == 20
-    assert np.isnan(est.estimate)
+    # every realization over budget leaves nothing to estimate from
+    with pytest.raises(BudgetExceededError, match="all tree realizations"):
+        tree_existence_mc(12, 0.0, 20, SEED, budget=50)
 
 
 def test_existence_budget_retires_only_its_replica():
