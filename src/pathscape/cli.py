@@ -143,6 +143,7 @@ def _cmd_hypercube(args):
         if args.samples == 1:
             return {"exists": bool(hits[0])}, PHILOX_TAG
         p = int(hits.sum()) / args.samples
+        # not tree_existence_mc's `** 0.5`: the two round apart on some (hits, n)
         se = math.sqrt(p * (1.0 - p) / args.samples)
         return {"estimate": p, "stderr": se, "n": args.samples}, PHILOX_TAG
     # thetak

@@ -29,9 +29,14 @@ from .rng import philox_stream
 DEFAULT_DIM_CAP = 24
 ORACLE_DIM_CAP = 8
 
-# int64 head-room guard for the DP: before summing up to L predecessor
-# counts, the previous level's max must leave room for the sum.
+# int64 head-room guard for the DP: before summing the k predecessor
+# counts of a level-k node, the previous level's max must leave room for
+# the sum.  A level-k count is at most k! (induction: k predecessors, each
+# at most (k-1)!), and 20! < 2^63, so for k <= 20 the previous max is at
+# most (k-1)! <= _I64_MAX // k and the guard cannot fire: it runs from
+# level 21 on.
 _I64_MAX = (1 << 63) - 1
+_GUARD_FROM_LEVEL = 21
 
 
 class PathCountOverflowError(OverflowError):
@@ -122,7 +127,7 @@ def _counts_from_origin(f: np.ndarray, L: int, k_max: int) -> np.ndarray:
     """Open-prefix counts n_sigma of the level-k_max nodes."""
     n = np.ones(1, dtype=np.int64)
     for k, (pr, open_edge) in enumerate(_open_edges(f, L, k_max), start=1):
-        if n.max() > _I64_MAX // k:
+        if k >= _GUARD_FROM_LEVEL and n.max() > _I64_MAX // k:
             raise PathCountOverflowError(f"path count overflow at level {k}")
         c = n[pr]
         c *= open_edge

@@ -2,7 +2,10 @@
 
 All factorial ratios go through log space so the formulas stay usable up
 to L = 10^6.  (1-x)^n is always computed as exp(n * log1p(-x)) so the
-x = X/L scaling regimes keep full precision near x = 0.
+x = X/L scaling regimes keep full precision near x = 0.  Log-gamma of an
+integer is `_lgamma_int`, a port of the cephes `lgam` behind
+`scipy.special.gammaln` that returns its bits, so this module needs
+numpy only.
 
 Counts that outgrow a machine word are exact Python integers.  The
 hypercube pair profile, the count c_r of ordered path pairs whose shared
@@ -31,10 +34,46 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 REGIME_X_OVER_L = "x=X/L"
 REGIME_LOG_OVER_L = "x=(lnL+X)/L"
+
+
+# cephes lgam: log sqrt(2 pi) and the Stirling-series coefficients A
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+def _lgamma_int(n: int) -> float:
+    """log Gamma(n) for an integer n >= 1, bit for bit scipy.special.gammaln.
+
+    The branches and constants are those of cephes `lgam` (math.lgamma
+    rounds differently): below 13 the log of the exact product
+    (n-1)...2, above it the Stirling series, with a shorter tail from
+    1000 on and none above 1e8.
+    """
+    x = float(n)
+    if x < 13.0:
+        return math.log(math.factorial(n - 1))
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        q += (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    else:
+        a0, a1, a2, a3, a4 = _LGAM_A
+        q += ((((a0 * p + a1) * p + a2) * p + a3) * p + a4) / x
+    return q
 
 
 def _check_x(x: float) -> None:
@@ -261,9 +300,9 @@ def pair_open_prob_hypercube(L: int, p: int, q: int, x: float) -> float:
     s = p + q
     log_p = (
         (2 * L - s - 2) * math.log1p(-x)
-        + gammaln(2 * L - 2 * s - 1)
-        - 2 * gammaln(L - s)
-        - gammaln(2 * L - s - 1)
+        + _lgamma_int(2 * L - 2 * s - 1)
+        - 2 * _lgamma_int(L - s)
+        - _lgamma_int(2 * L - s - 1)
     )
     return float(math.exp(log_p))
 
@@ -460,12 +499,12 @@ def second_moment_hypercube(L: int, x: float) -> float:
     if x == 1.0:
         return 0.0
     counts = _hypercube_pair_profile(L)
-    log_L_fact = float(gammaln(L + 1))
+    log_L_fact = _lgamma_int(L + 1)
     log_terms = np.array(
         [
             math.log(counts[r - 1])
             + log_L_fact
-            - float(gammaln(2 * L - r))
+            - _lgamma_int(2 * L - r)
             + (2 * L - r - 1) * math.log1p(-x)
             for r in range(1, L + 1)
         ]

@@ -5,7 +5,8 @@ of two independent standard exponentials (hypercube limit).  The product
 law's survival function P(E1*E2 > z) = int_0^inf exp(-t - z/t) dt has
 the closed form 2*sqrt(z)*K1(2*sqrt(z)), with K1 the modified Bessel
 function of the second kind; the quadrature stays in the tests as the
-oracle.
+oracle.  K1 is scipy's, imported inside `prodexp_survival`, so scipy is
+loaded only by a process that evaluates the product law.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import k1e
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,8 @@ def prodexp_survival(z):
     k1e(u) = K1(u)*e^u keeps the product finite for large u; the value at
     z = 0 is exactly 1.  Returns a float for a scalar z.
     """
+    from scipy.special import k1e  # the one scipy use: loaded on first call
+
     z = np.asarray(z, dtype=float)
     if (z < 0).any():
         raise ValueError(f"z must be >= 0, got {z.min()}")

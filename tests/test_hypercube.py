@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pathscape import mc, moments, stats
 from pathscape.hypercube import (
     HypercubeLandscape,
+    PathCountOverflowError,
     _counts_from_origin,
     _counts_to_top,
     _level_masks,
@@ -345,3 +346,20 @@ def test_golden_counts_from_origin(master_seed):
             h.update(np.ascontiguousarray(masks).tobytes())
             h.update(np.ascontiguousarray(counts).tobytes())
     assert h.hexdigest() == "86bc18cf4ee00ca51d534f0497c242c35895be35821a11da87daed673f9faf2a"
+
+
+def _fully_open(L: int) -> HypercubeLandscape:
+    """Every path open: the value of a node is its level / (L + 1)."""
+    fitness = np.bitwise_count(np.arange(1 << L)) / (L + 1)
+    return HypercubeLandscape(dim=L, origin_value=0.0, fitness=fitness)
+
+
+def test_overflow_guard_starts_at_level_21():
+    # counts reach k! at level k; 20! fits in int64 and 21! does not
+    try:
+        assert count_open_paths(_fully_open(20)) == math.factorial(20)
+        _level_tables.cache_clear()
+        with pytest.raises(PathCountOverflowError, match="level 21"):
+            count_open_paths(_fully_open(21))
+    finally:
+        _level_tables.cache_clear()  # 80 MB of tables at L = 20, 176 MB at L = 21

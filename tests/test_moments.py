@@ -395,3 +395,14 @@ def test_log_convexity_at_L100():
         log_a[i + 1] - 2 * log_a[i] + log_a[i - 1] for i in range(1, 97)
     ]
     assert min(second) >= -1e-12
+
+
+def test_lgamma_int_is_scipy_gammaln_bit_for_bit():
+    from scipy.special import gammaln
+
+    rng = np.random.default_rng(20130)
+    edges = [12, 13, 999, 1000, 10**8, 10**8 + 1]
+    for n in (np.arange(1, 2**17 + 1), edges, rng.integers(1, 10**9, 20_000, endpoint=True)):
+        n = np.asarray(n, dtype=np.int64)
+        port = np.array([moments._lgamma_int(int(v)) for v in n])
+        assert (port.view(np.int64) == gammaln(n.astype(float)).view(np.int64)).all()
