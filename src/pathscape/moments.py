@@ -307,24 +307,13 @@ def pair_open_prob_hypercube(L: int, p: int, q: int, x: float) -> float:
     return float(math.exp(log_p))
 
 
-_INDECOMPOSABLE = (0,)  # B(0..n) for the largest n asked so far; B(0) = 0 pads
-
-
-def _indecomposable_counts(n: int) -> tuple:
-    """A table whose entries 0..n are B(0..n), built from one factorial
-    list: B(m) = m! - sum_{k<m} B(k) (m-k)!.
-
-    The longest table built so far is kept and extended; it is replaced
-    whole, never mutated, so a concurrent caller sees a complete table.
-    """
-    global _INDECOMPOSABLE
-    b = _INDECOMPOSABLE
-    if len(b) <= n:
-        fact = list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))
-        b = list(b)
-        for m in range(len(b), n + 1):
-            b.append(fact[m] - sum(map(operator.mul, b[1:m], fact[m - 1 : 0 : -1])))
-        _INDECOMPOSABLE = b = tuple(b)
+def _indecomposable_counts(n: int) -> list:
+    """B(0..n), with B(0) = 0 as padding, from one factorial list:
+    B(m) = m! - sum_{k<m} B(k) (m-k)!."""
+    fact = list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))
+    b = [0]
+    for m in range(1, n + 1):
+        b.append(fact[m] - sum(map(operator.mul, b[1:m], fact[m - 1 : 0 : -1])))
     return b
 
 

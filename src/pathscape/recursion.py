@@ -275,14 +275,18 @@ def fk_limit_gap(gf: GridFunction) -> float:
     return float(np.abs(gf.values - 1.0 / (1.0 + gf.xs)).max())
 
 
+_DELTA_Z_MIN = 0.25
+_DELTA_TOLERANCE = 1e-2
+
+
 @dataclass(frozen=True)
 class DeltaBoundReport:
     """Result of checking 0 <= delta_k <= M for all k <= k_max, where
     delta_k(z) = 2^k (1+z)^3/z^2 * (1/(1+z) - F_k(z)) and M = sup delta_0.
 
-    The check runs on z >= z_min: below that the 2^k/z^2 amplification
-    turns quadrature round-off into noise, which is what `tolerance`
-    budgets for on the checked range.
+    The check runs on z >= z_min (_DELTA_Z_MIN): below that the 2^k/z^2
+    amplification turns quadrature round-off into noise, which is what
+    `tolerance` (_DELTA_TOLERANCE) budgets for on the checked range.
     """
 
     k_max: int
@@ -300,10 +304,9 @@ class DeltaBoundReport:
         return not self.violations
 
 
-def delta_bound_check(
-    k_max: int, z_max: float, grid_n: int, z_min: float = 0.25, tolerance: float = 1e-2
-) -> DeltaBoundReport:
+def delta_bound_check(k_max: int, z_max: float, grid_n: int) -> DeltaBoundReport:
     """Evaluate the delta_k envelope numerically and report violations."""
+    z_min, tolerance = _DELTA_Z_MIN, _DELTA_TOLERANCE
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     if z_max < z_min:

@@ -8,9 +8,10 @@ engine (`_walk`, over a block of replicas) and a full enumeration replay
 exactly the same realization.
 
 The expected number of alive (open-prefix) nodes is about (2-x)^L; every
-walk carries a per-replica visit budget, and exceeding it is an error
-distinct from "zero paths".  Existence is Theta >= 1, so its budget counts
-the visits of the full walk, not those up to the first open path.
+walk carries a per-replica visit budget, and one replica past it makes the
+whole call raise BudgetExceededError: never "zero paths", never dropped.
+Existence is Theta >= 1, so its budget counts the visits of the full walk,
+not those up to the first open path.
 """
 
 from __future__ import annotations
@@ -75,35 +76,28 @@ def _walk(seeds: np.ndarray, L: int, x: float, depth: int, budget: int):
     """Walk a block of replicas (uint64 `seeds`) level by level to `depth`.
 
     Returns the open level-`depth` nodes as (values, digests, owner=replica
-    index), each replica's nodes contiguous and in BFS order, and `over_at`:
-    per replica, the level whose children took its visit count (arity x
-    alive nodes per level) past `budget`, else 0; such a replica stops.
+    index), each replica's nodes contiguous and in BFS order.  Raises
+    BudgetExceededError as soon as the children of one level take any
+    replica's visit count (arity x alive nodes per level) past `budget`.
     """
     TreeParams(L, x, 0, budget)  # validates dim, root value and budget
     if not 0 <= depth < L:
         raise ValueError(f"need 0 <= k < dim, got k={depth}")
     n = len(seeds)
     values, digests, owner = np.full(n, float(x)), _splitmix64(seeds.copy()), np.arange(n)
-    visits, over_at = np.zeros((2, n), dtype=np.int64)
+    visits = np.zeros(n, dtype=np.int64)
     for level in range(depth):
         arity = L - level
         visits += arity * np.bincount(owner, minlength=n)
-        over_at[(visits > budget) & (over_at == 0)] = level + 1
-        if over_at.any():
-            keep = over_at[owner] == 0
-            values, digests, owner = values[keep], digests[keep], owner[keep]
+        if visits.max() > budget:
+            raise BudgetExceededError(f"node budget {budget} exhausted at level {level + 1}")
         hashes = _splitmix64(digests[:, None] + np.arange(1, arity + 1, dtype=np.uint64))
         # child value (h >> 11) * 2^-53 > parent value, compared exactly in 2^-53 units
         alive = (hashes >> 11) > values[:, None] * 2.0**53
         digests = hashes[alive]
         values = (digests >> 11) * 2.0**-53
         owner = np.broadcast_to(owner[:, None], alive.shape)[alive]
-    return values, digests, owner, over_at
-
-
-def _raise_over_budget(over_at: np.ndarray, budget: int) -> None:
-    if over_at.any():
-        raise BudgetExceededError(f"node budget {budget} exhausted at level {over_at.max()}")
+    return values, digests, owner
 
 
 def replica_blocks(L: int, x: float, start: int, stop: int) -> list[tuple[int, int]]:
@@ -125,16 +119,14 @@ def block_chunk(block_fn, dtype, L, x, seed, args, start, stop) -> np.ndarray:
 def theta_block(seeds: np.ndarray, L: int, x: float, budget: int) -> np.ndarray:
     """Exact Theta per replica seed.  A node at level L-1 with value < 1
     contributes exactly one open path (its single leaf child carries 1)."""
-    values, _, owner, over_at = _walk(seeds, L, x, L - 1, budget)
-    _raise_over_budget(over_at, budget)
+    values, _, owner = _walk(seeds, L, x, L - 1, budget)
     return np.bincount(owner[values < 1.0], minlength=len(seeds))
 
 
 def theta_k_block(seeds: np.ndarray, L: int, x: float, k: int, budget: int) -> np.ndarray:
     """Theta_k per replica seed, each a sequential sum of Python-float
     powers as in theta_k_from_front (numpy's power can differ in the last bit)."""
-    values, _, owner, over_at = _walk(seeds, L, x, k, budget)
-    _raise_over_budget(over_at, budget)
+    values, _, owner = _walk(seeds, L, x, k, budget)
     fronts = np.split(values, np.cumsum(np.bincount(owner, minlength=len(seeds)))[:-1])
     return np.array([theta_k_from_front(front.tolist(), L, k) for front in fronts])
 
@@ -165,17 +157,9 @@ def theta_k_tree(params: TreeParams, k: int) -> float:
 class ExistenceEstimate:
     estimate: float
     stderr: float
+    # always 0 (a budget hit raises); kept as golden records and perfbench read it
     budget_hits: int
     samples: int
-
-
-def exists_block(seeds: np.ndarray, L: int, x: float, budget: int) -> np.ndarray:
-    """Per replica seed: 1 if Theta >= 1, 0 if not, -1 if the full walk
-    passed the visit budget (such a replica keeps no nodes, so never 1)."""
-    values, _, owner, over_at = _walk(seeds, L, x, L - 1, budget)
-    status = np.where(over_at > 0, -1, 0).astype(np.int8)
-    status[owner[values < 1.0]] = 1
-    return status
 
 
 def tree_existence_mc(
@@ -188,22 +172,16 @@ def tree_existence_mc(
 ) -> ExistenceEstimate:
     """Monte Carlo estimate of P^x(Theta >= 1) over derived replica seeds.
 
-    Realizations that exhaust the budget over the full walk are excluded
-    from the estimate and reported in budget_hits, never counted as zero;
-    when every one does, BudgetExceededError is raised.
+    A realization whose full walk exhausts the budget raises
+    BudgetExceededError; none is left out of the estimate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    worker = partial(block_chunk, exists_block, np.int8, L, x, seed, (budget,))
-    status = map_replicas(worker, samples, threads)
-    hits = int(np.count_nonzero(status == 1))
-    budget_hits = int(np.count_nonzero(status == -1))
-    n_eff = samples - budget_hits
-    if n_eff == 0:
-        raise BudgetExceededError("all tree realizations exceeded node budget")
-    p = hits / n_eff
-    se = (p * (1.0 - p) / n_eff) ** 0.5
-    return ExistenceEstimate(p, se, budget_hits, samples)
+    worker = partial(block_chunk, theta_block, np.int64, L, x, seed, (budget,))
+    hits = int(np.count_nonzero(map_replicas(worker, samples, threads)))
+    p = hits / samples
+    se = (p * (1.0 - p) / samples) ** 0.5
+    return ExistenceEstimate(p, se, 0, samples)
 
 
 def enumerate_tree_paths_oracle(params: TreeParams) -> int:

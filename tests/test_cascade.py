@@ -61,11 +61,10 @@ def test_determinism():
 
 
 def test_batch_matches_replica_loop_and_thread_count():
-    # budget hits on some replicas, and two workers with unequal spans
-    params = CascadeParams(3, 1e-4, SEED, samples=41, atom_budget=150)
+    # two workers with unequal spans
+    params = CascadeParams(3, 1e-4, SEED, samples=41)
     one = sample_cascade_batch(params, threads=1)
     two = sample_cascade_batch(params, threads=2)
-    assert 0 < one.budget_hits < params.samples
     assert np.array_equal(one.ys, two.ys)
     assert (one.mean_bias, one.mean_atoms, one.budget_hits) == (
         two.mean_bias,
@@ -74,23 +73,36 @@ def test_batch_matches_replica_loop_and_thread_count():
     )
     ys, bias, atoms = [], 0.0, 0
     for r in range(params.samples):
-        try:
-            s = sample_cascade(params, philox_stream(SEED, r))
-        except BudgetExceededError:
-            continue
+        s = sample_cascade(params, philox_stream(SEED, r))
         ys.append(s.y)
         bias += s.bias_bound
         atoms += s.atoms_visited
     assert one.ys.tolist() == ys
-    assert one.mean_bias == bias / len(ys)
-    assert one.mean_atoms == atoms / len(ys)
-    assert one.budget_hits == params.samples - len(ys)
+    assert one.mean_bias == bias / params.samples
+    assert one.mean_atoms == atoms / params.samples
+    assert one.budget_hits == 0
 
 
 def test_batch_with_every_realization_over_budget_raises():
     params = CascadeParams(4, 1e-9, SEED, samples=3, atom_budget=10)
-    with pytest.raises(BudgetExceededError, match="all cascade realizations"):
+    with pytest.raises(BudgetExceededError, match="atom budget 10 exhausted"):
         sample_cascade_batch(params)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batch_with_one_realization_over_budget_raises(threads):
+    # the batch never drops a realization: one over budget among 41 raises,
+    # also from a worker process
+    params = CascadeParams(3, 1e-4, SEED, samples=41, atom_budget=400)
+    over = 0
+    for r in range(params.samples):
+        try:
+            sample_cascade(params, philox_stream(SEED, r))
+        except BudgetExceededError:
+            over += 1
+    assert over == 1
+    with pytest.raises(BudgetExceededError, match="atom budget 400 exhausted"):
+        sample_cascade_batch(params, threads=threads)
 
 
 def test_limit_check_independent_of_threads():

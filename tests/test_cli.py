@@ -95,6 +95,16 @@ def test_tree_exists_all_over_budget_exits_3(capsys):
     assert json.loads(err.splitlines()[-1])["error"] == "budget"
 
 
+def test_tree_exists_partial_budget_hit_exits_3(capsys):
+    # some of the 37 realizations pass the budget, the others do not
+    code, records, err = _run(
+        capsys, "tree", "exists", "--dim", "9", "--x", "0", "--samples", "37", "--budget", "2000"
+    )
+    assert code == 3
+    assert records == []
+    assert json.loads(err.splitlines()[-1])["error"] == "budget"
+
+
 @pytest.mark.parametrize("action", ["sample", "ks"])
 def test_cascade_all_over_budget_exits_3(capsys, action):
     # at delta = 1e-300 every realization passes the atom budget
@@ -204,7 +214,7 @@ def test_hypercube_exists_independent_of_threads(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["tree", "exists", "--dim", "9", "--x", "0", "--samples", "37", "--budget", "2000"],
+        ["tree", "exists", "--dim", "9", "--x", "0", "--samples", "37"],
         ["cascade", "sample", "--k", "3", "--delta", "1e-4", "--samples", "21"],
         ["cascade", "ks", "--k", "3", "--delta", "1e-4", "--samples", "21"],
     ],

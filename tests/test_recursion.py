@@ -268,15 +268,17 @@ def test_golden_delta_bound_check():
     assert report.violations == []
 
 
-def test_delta_bound_check_sees_each_fk_iterate():
-    # the single-pass loop evaluates the same F_k as fk_iterate(k, ...)
+def test_delta_bound_check_sees_each_fk_iterate(monkeypatch):
+    # the single-pass loop evaluates the same F_k as fk_iterate(k, ...);
+    # a negative tolerance reports every k, so the last violation is k_max
+    monkeypatch.setattr(recursion, "_DELTA_TOLERANCE", -1.0)
     zs = np.linspace(0.0, 4.0, 2**8 + 1)
     z = zs[zs >= 0.25]
     amp = (1.0 + z) ** 3 / z**2
     for k_max in (0, 1, 4):
         last = fk_iterate(k_max, 4.0, 2**8).values[zs >= 0.25]
         delta = 2.0**k_max * amp * (1.0 / (1.0 + z) - last)
-        report = delta_bound_check(k_max, 4.0, 2**8, tolerance=-1.0)
+        report = delta_bound_check(k_max, 4.0, 2**8)
         assert report.violations[-1]["k"] == k_max
         idx = int(np.argmax(np.maximum(delta - report.M, -delta)))
         assert report.violations[-1]["delta"] == float(delta[idx])

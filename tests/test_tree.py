@@ -76,7 +76,7 @@ def test_alive_front_values_exceed_root():
     L, x = 8, 0.35
     seeds = np.array([SEED], dtype=np.uint64)
     for k in (1, 2, 3):
-        values, _, owner, _ = tree._walk(seeds, L, x, k, tree.DEFAULT_NODE_BUDGET)
+        values, _, owner = tree._walk(seeds, L, x, k, tree.DEFAULT_NODE_BUDGET)
         assert (owner == 0).all()
         assert (values > x).all()
 
@@ -112,32 +112,35 @@ def test_budget_is_an_error_not_zero():
 
 
 def test_existence_mc_reports_budget_hits():
-    # every realization over budget leaves nothing to estimate from
-    with pytest.raises(BudgetExceededError, match="all tree realizations"):
+    with pytest.raises(BudgetExceededError, match="node budget 50 exhausted"):
         tree_existence_mc(12, 0.0, 20, SEED, budget=50)
 
 
-def test_existence_budget_retires_only_its_replica():
-    L, x, n, budget = 10, 0.0, 40, 4000
-    hits = over = 0
+@pytest.mark.parametrize("threads", [1, 2])
+def test_existence_budget_hit_on_one_replica_raises(threads):
+    # the estimate never drops a realization: one over budget among 40 raises,
+    # also from a worker process
+    L, x, n, budget = 10, 0.0, 40, 10_000
+    over = 0
     for r in range(n):
         try:
-            hits += sample_theta_tree(TreeParams(L, x, derive_seed(SEED, r), budget)) > 0
+            sample_theta_tree(TreeParams(L, x, derive_seed(SEED, r), budget))
         except BudgetExceededError:
             over += 1
-    assert 0 < over < n
-    est = tree_existence_mc(L, x, n, SEED, budget=budget)
-    assert est.budget_hits == over
-    assert est.estimate == hits / (n - over)
+    assert over == 1
+    with pytest.raises(BudgetExceededError, match="node budget 10000 exhausted"):
+        tree_existence_mc(L, x, n, SEED, budget=budget, threads=threads)
 
 
 def test_existence_mc_independent_of_threads():
-    L, x, budget = 9, 0.0, 2000
+    L, x = 9, 0.0
     (a, b), *_ = tree.replica_blocks(L, x, 0, 10**6)
     n = 3 * (b - a) + 5
-    one = tree_existence_mc(L, x, n, SEED, budget=budget, threads=1)
-    assert 0 < one.budget_hits < n
-    assert tree_existence_mc(L, x, n, SEED, budget=budget, threads=2) == one
+    one = tree_existence_mc(L, x, n, SEED, threads=1)
+    assert one.budget_hits == 0 and 0 < one.estimate < 1
+    assert tree_existence_mc(L, x, n, SEED, threads=2) == one
+    loop = [sample_theta_tree(TreeParams(L, x, derive_seed(SEED, r))) > 0 for r in range(n)]
+    assert one.estimate == sum(loop) / n
 
 
 def test_theta_batch_thread_and_block_invariance():
