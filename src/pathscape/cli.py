@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, cascade, hypercube, mc, moments, recursion, stats, tree, verify
-from .parallel import ENV_THREADS, resolve_threads
+from .parallel import resolve_threads
 from .rng import PHILOX_TAG, SPLITMIX_TAG
 
 DEFAULT_SEED = verify.DEFAULT_SEED
@@ -126,7 +126,15 @@ def _sample_stats(values, key: str) -> dict:
     return asdict(stats.moment_summary(stats.Sample.from_values(values)))
 
 
-# --- subcommand handlers; each returns (stats dict, rng tag or None) --------
+# --- subcommand handlers; each returns its stats dict ------------------------
+
+# the stream that builds a group's records; deterministic groups have none
+_RNG_TAGS = {
+    "hypercube": PHILOX_TAG,
+    "tree": SPLITMIX_TAG,
+    "cascade": PHILOX_TAG,
+    "verify": PHILOX_TAG,
+}
 
 
 def _cmd_hypercube(args):
@@ -135,22 +143,22 @@ def _cmd_hypercube(args):
         thetas = mc.hypercube_theta_batch(
             args.dim, x, args.seed, args.samples, threads=args.threads
         )
-        return _sample_stats(thetas, "theta"), PHILOX_TAG
+        return _sample_stats(thetas, "theta")
     if args.action == "exists":
         hits = mc.hypercube_exists_batch(
             args.dim, x, args.seed, args.samples, threads=args.threads
         )
         if args.samples == 1:
-            return {"exists": bool(hits[0])}, PHILOX_TAG
+            return {"exists": bool(hits[0])}
         p = int(hits.sum()) / args.samples
         # not tree_existence_mc's `** 0.5`: the two round apart on some (hits, n)
         se = math.sqrt(p * (1.0 - p) / args.samples)
-        return {"estimate": p, "stderr": se, "n": args.samples}, PHILOX_TAG
+        return {"estimate": p, "stderr": se, "n": args.samples}
     # thetak
     vals = mc.hypercube_theta_k_batch(
         args.dim, x, args.k, args.seed, args.samples, threads=args.threads
     )
-    return _sample_stats(vals, "theta_k") | {"k": args.k}, PHILOX_TAG
+    return _sample_stats(vals, "theta_k") | {"k": args.k}
 
 
 def _cmd_tree(args):
@@ -159,18 +167,18 @@ def _cmd_tree(args):
         thetas = mc.tree_theta_batch(
             args.dim, x, args.seed, args.samples, budget=args.budget, threads=args.threads
         )
-        return _sample_stats(thetas, "theta"), SPLITMIX_TAG
+        return _sample_stats(thetas, "theta")
     if args.action == "thetak":
         vals = mc.tree_theta_k_batch(
             args.dim, x, args.k, args.seed, args.samples,
             budget=args.budget, threads=args.threads,
         )
-        return _sample_stats(vals, "theta_k") | {"k": args.k}, SPLITMIX_TAG
+        return _sample_stats(vals, "theta_k") | {"k": args.k}
     # exists
     est = tree.tree_existence_mc(
         args.dim, x, args.samples, args.seed, args.budget, threads=args.threads
     )
-    return asdict(est), SPLITMIX_TAG
+    return asdict(est)
 
 
 def _cmd_moments(args):
@@ -179,17 +187,17 @@ def _cmd_moments(args):
         raise ValueError(f"moments {a} requires --dim")
     if a == "first":
         x = _resolve_x(args)
-        return {"mean": moments.expected_paths(args.dim, x)}, None
+        return {"mean": moments.expected_paths(args.dim, x)}
     if a == "second":
         x = _resolve_x(args)
-        return {"second_moment": moments.second_moment_tree(args.dim, x)}, None
+        return {"second_moment": moments.second_moment_tree(args.dim, x)}
     if a == "var-star":
         v = moments.var_star_tree(args.dim)
-        return {"var_star": v, "var_star_over_L": v / args.dim}, None
+        return {"var_star": v, "var_star_over_L": v / args.dim}
     if a == "cond-var":
         x = _resolve_x(args)
         v = moments.cond_var_tree(args.dim, x, args.k)
-        return {"cond_var": v, "cond_var_over_L2": v / args.dim**2, "k": args.k}, None
+        return {"cond_var": v, "cond_var_over_L2": v / args.dim**2, "k": args.k}
     if a == "limits":
         if args.logscaled is not None:
             sm = moments.scaled_limits(args.dim, args.logscaled, moments.REGIME_LOG_OVER_L)
@@ -197,33 +205,33 @@ def _cmd_moments(args):
             sm = moments.scaled_limits(args.dim, args.x_scaled, moments.REGIME_X_OVER_L)
         else:
             raise ValueError("limits requires --X-scaled or --logscaled")
-        return asdict(sm), None
+        return asdict(sm)
     if a == "a-coeff":
         return {
             "q": args.q,
             "a": moments.a_coeff(args.dim, args.q),
             "log_a": moments.log_a_coeff(args.dim, args.q),
-        }, None
+        }
     if a == "q0":
-        return {"q0": moments.q0(args.dim)}, None
+        return {"q0": moments.q0(args.dim)}
     if a == "pair-tree":
         x = _resolve_x(args)
         return {
             "q": args.q,
             "pair_count": moments.tree_pair_count(args.dim, args.q),
             "open_prob": moments.pair_open_prob_tree(args.dim, args.q, x),
-        }, None
+        }
     if a == "pair-cube":
         x = _resolve_x(args)
         return {
             "p": args.p,
             "q": args.q,
             "open_prob": moments.pair_open_prob_hypercube(args.dim, args.p, args.q, x),
-        }, None
+        }
     if a == "bn":
-        return {"n": args.n, "B": moments.indecomposable_count(args.n)}, None
+        return {"n": args.n, "B": moments.indecomposable_count(args.n)}
     # pstar-bound
-    return {"bound": moments.pstar_upper_bound(args.dim)}, None
+    return {"bound": moments.pstar_upper_bound(args.dim)}
 
 
 def _at(gf: recursion.GridFunction, at: float) -> float:
@@ -237,24 +245,24 @@ def _cmd_recursion(args):
     a = args.action
     if a == "gf":
         gf = recursion.tree_gf(args.mu, args.levels, args.grid)
-        return {"G": _at(gf, args.at), "at": args.at}, None
+        return {"G": _at(gf, args.at), "at": args.at}
     if a == "pexist":
         gf = recursion.existence_prob(args.levels, args.grid)
         return {
             "p": _at(gf, args.at),
             "at": args.at,
             "p_star": gf.integral(),
-        }, None
+        }
     if a == "fk":
         gf = recursion.fk_iterate(args.k, args.zmax, args.grid)
         return {
             "F_k": _at(gf, args.at),
             "at": args.at,
             "sup_gap_to_limit": recursion.fk_limit_gap(gf),
-        }, None
+        }
     # delta-check
     report = recursion.delta_bound_check(args.k, args.zmax, args.grid)
-    return asdict(report) | {"ok": report.ok}, None
+    return asdict(report) | {"ok": report.ok}
 
 
 def _cmd_cascade(args):
@@ -265,12 +273,12 @@ def _cmd_cascade(args):
             "mean_bias": batch.mean_bias,
             "mean_atoms": batch.mean_atoms,
             "budget_hits": batch.budget_hits,
-        }, PHILOX_TAG
+        }
     # ks
     report = cascade.cascade_limit_check(
         args.k, args.delta, args.samples, args.seed, threads=args.threads
     )
-    return asdict(report), PHILOX_TAG
+    return asdict(report)
 
 
 def _cmd_verify(args, records: list[ExperimentRecord]) -> int:
@@ -286,7 +294,7 @@ def _cmd_verify(args, records: list[ExperimentRecord]) -> int:
                 command=f"verify.{args.battery}",
                 params={"battery": args.battery, "scale": args.scale},
                 seed=args.seed,
-                rng=PHILOX_TAG,
+                rng=_RNG_TAGS[args.group],
                 stats={
                     "criterion": res.criterion,
                     "passed": res.passed,
@@ -312,7 +320,7 @@ def build_parser() -> _Parser:
     common.add_argument("--csv", default=None, help="mirror records to this CSV file")
     common.add_argument(
         "--threads", type=int, default=None,
-        help=f"worker processes (fallback: ${ENV_THREADS})",
+        help="worker processes (default 1)",
     )
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
@@ -389,7 +397,7 @@ def run(argv=None) -> int:
     records: list[ExperimentRecord] = []
 
     try:
-        resolve_threads(args.threads)  # a bad --threads or $PATHSCAPE_THREADS exits 2
+        resolve_threads(args.threads)  # a bad --threads exits 2
         # streams key on the seed's 64 bits: a wider seed would alias another
         if not 0 <= args.seed < 2**64:
             raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
@@ -398,13 +406,13 @@ def run(argv=None) -> int:
         if args.group == "verify":
             code = _cmd_verify(args, records)
         else:
-            result, rng_tag = args.handler(args)
+            result = args.handler(args)
             records.append(
                 ExperimentRecord(
                     command=f"{args.group}.{args.action}",
                     params=_record_params(args),
                     seed=args.seed,
-                    rng=rng_tag,
+                    rng=_RNG_TAGS.get(args.group),
                     stats=result,
                     wall_time_s=time.perf_counter() - t0,
                 )
@@ -417,7 +425,8 @@ def run(argv=None) -> int:
                 _write_csv(args.csv, records)
             except OSError as exc:
                 raise ValueError(f"cannot write --csv: {exc}") from exc
-    except (ValueError, KeyError, hypercube.PathCountOverflowError) as exc:
+    # an allocation the parameters make too large is a parameter error too
+    except (ValueError, KeyError, MemoryError, hypercube.PathCountOverflowError) as exc:
         print(json.dumps({"error": "parameters", "message": str(exc)}), file=sys.stderr)
         return EXIT_PARAMS
     except tree.BudgetExceededError as exc:

@@ -13,6 +13,8 @@ nodes cut both paths into r blocks, is c_r = [z^L] W(z)^r with
 W(z) = sum_m B(m) C(2m-2, m-1) z^m.  It is computed modulo word-size
 primes and rebuilt by the Chinese remainder theorem:
 
+- The weights are reduced modulo each prime as Python integers; every
+  prime is below 2^26, so each residue is an exact float64.
 - Every prime p has (L+1)(p-1)^2 < 2^53, so a float64 dot product of L+1
   residue products is an exact integer whatever the BLAS summation order
   or FMA use, and one int64 remainder reduces it.
@@ -363,27 +365,6 @@ def _crt_primes(L: int) -> tuple:
     return tuple(primes)
 
 
-def _to_residues(values: list, primes) -> np.ndarray:
-    """values (non-negative ints) mod each prime, as a (len(values),
-    len(primes)) int64 array.
-
-    Byte d of a value weighs 256^d mod p, so one float64 product of the
-    byte matrix with those weights sums at most n_bytes * 255 * (p-1) per
-    entry: exact below 2^53 for primes below 2^26 and values of fewer
-    than 2^22 bits.
-    """
-    n_bytes = (max(values).bit_length() + 7) // 8
-    digits = np.frombuffer(
-        b"".join(v.to_bytes(n_bytes, "little") for v in values), dtype=np.uint8
-    ).reshape(len(values), n_bytes)
-    p = np.array(primes, dtype=np.int64)
-    weights = np.empty((n_bytes, len(p)), dtype=np.int64)
-    weights[0] = 1
-    for d in range(1, n_bytes):
-        weights[d] = weights[d - 1] * 256 % p
-    return (digits.astype(float) @ weights.astype(float)).astype(np.int64) % p
-
-
 def _from_residues(residues: np.ndarray, primes) -> list:
     """The integers in [0, M), M = prod(primes), with the given rows of
     residues, by the Chinese remainder theorem."""
@@ -461,7 +442,7 @@ def _hypercube_pair_profile(L: int) -> tuple:
     b = _indecomposable_counts(L)
     weights = [0] + [b[m] * math.comb(2 * m - 2, m - 1) for m in range(1, L + 1)]
     primes = _crt_primes(L)
-    w = _to_residues(weights, primes).T.astype(float)  # row k: W mod primes[k]
+    w = np.array([[v % p for v in weights] for p in primes], dtype=float)  # row k: W mod primes[k]
     p = np.array(primes, dtype=np.int64)[:, None, None]
     chunk = max(1, _CHUNK_BYTES // (16 * (L + 1) ** 2))
     top = np.concatenate(

@@ -3,7 +3,8 @@
 Each replica owns a private stream derived from (master_seed, replica
 index), so splitting the replica range across workers cannot change any
 drawn value; chunks are reassembled in index order, making the output
-identical for any thread count.
+identical for any thread count.  The worker count is the `threads`
+argument alone, 1 by default; no environment variable sets it.
 """
 
 from __future__ import annotations
@@ -13,22 +14,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-ENV_THREADS = "PATHSCAPE_THREADS"
-
 
 def resolve_threads(threads: int | None) -> int:
-    """Worker count: `threads`, else $PATHSCAPE_THREADS, else 1.
+    """Worker count: `threads`, or 1 when it is None.
 
-    Raises ValueError on a count below 1 or a non-integer environment value.
+    Raises ValueError on a count below 1.
     """
     if threads is None:
-        env = os.environ.get(ENV_THREADS, "").strip()
-        if not env:
-            return 1
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_THREADS} must be an integer, got {env!r}") from None
+        return 1
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
     return threads

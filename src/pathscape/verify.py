@@ -44,94 +44,75 @@ def _within_se(sample_mean, target, stderr, k=4.0):
     return abs(sample_mean - target) <= k * stderr
 
 
-# --- criterion 1 -----------------------------------------------------------
+def _oracle_check(criterion, what, cases, fast, oracle):
+    """`fast` against `oracle` on every case; `what` formats the case and
+    mismatch counts into the details."""
+    agree = [fast(case) == oracle(case) for case in cases]
+    bad = agree.count(False)
+    return CheckResult(
+        criterion=criterion,
+        passed=bad == 0,
+        observed={"mismatches": bad, "cases": len(agree)},
+        expected={"mismatches": 0},
+        details=what.format(len(agree), bad),
+    )
+
+
+def _mean_band(criterion, key, label, fmt, values, target, L, x):
+    """The sample mean of `values` within 4 standard errors of `target`."""
+    s = stats.moment_summary(stats.Sample.from_values(values))
+    band = 4 * s.mean_stderr
+    return CheckResult(
+        criterion=criterion,
+        passed=_within_se(s.mean, target, s.mean_stderr),
+        observed={key: s.mean, "stderr": s.mean_stderr, "n": len(values)},
+        expected={key: target, "band": band},
+        details=f"L={L} x={x}: {label}={s.mean:{fmt}} vs {target:{fmt}} (4SE={band:{fmt}})",
+    )
+
+
+# --- criteria 1 & 2 --------------------------------------------------------
 
 def check_hypercube_oracle(seed: int = DEFAULT_SEED, scale: float = 1.0, threads=None):
-    seeds_per_l = _n(100, scale)
-    mismatches = 0
-    total = 0
-    for L in range(2, 8):
-        for r in range(seeds_per_l):
-            land = hypercube.generate_hypercube(L, 0.3 * (r % 3), seed, replica=r)
-            total += 1
-            if hypercube.count_open_paths(land) != hypercube.enumerate_paths_oracle(land):
-                mismatches += 1
-    return [
-        CheckResult(
-            criterion="1-hypercube-oracle-equivalence",
-            passed=mismatches == 0,
-            observed={"mismatches": mismatches, "cases": total},
-            expected={"mismatches": 0},
-            details=f"{total} landscapes L=2..7, {mismatches} DP/oracle mismatches",
-        )
-    ]
+    lands = (
+        hypercube.generate_hypercube(L, 0.3 * (r % 3), seed, replica=r)
+        for L in range(2, 8)
+        for r in range(_n(100, scale))
+    )
+    what = "{} landscapes L=2..7, {} DP/oracle mismatches"
+    fast, oracle = hypercube.count_open_paths, hypercube.enumerate_paths_oracle
+    return [_oracle_check("1-hypercube-oracle-equivalence", what, lands, fast, oracle)]
 
-
-# --- criterion 2 -----------------------------------------------------------
 
 def check_tree_oracle(seed: int = DEFAULT_SEED, scale: float = 1.0, threads=None):
-    seeds_per_l = _n(100, scale)
-    mismatches = 0
-    total = 0
-    for L in range(2, 8):
-        for r in range(seeds_per_l):
-            params = tree.TreeParams(L, 0.25 * (r % 4) / 3.0, derive_seed(seed, r))
-            total += 1
-            if tree.sample_theta_tree(params) != tree.enumerate_tree_paths_oracle(params):
-                mismatches += 1
-    return [
-        CheckResult(
-            criterion="2-tree-oracle-equivalence",
-            passed=mismatches == 0,
-            observed={"mismatches": mismatches, "cases": total},
-            expected={"mismatches": 0},
-            details=f"{total} realizations L=2..7, {mismatches} DFS/enumeration mismatches",
-        )
-    ]
+    realizations = (
+        tree.TreeParams(L, 0.25 * (r % 4) / 3.0, derive_seed(seed, r))
+        for L in range(2, 8)
+        for r in range(_n(100, scale))
+    )
+    what = "{} realizations L=2..7, {} DFS/enumeration mismatches"
+    fast, oracle = tree.sample_theta_tree, tree.enumerate_tree_paths_oracle
+    return [_oracle_check("2-tree-oracle-equivalence", what, realizations, fast, oracle)]
 
 
 # --- criteria 3 & 4 --------------------------------------------------------
 
 def check_tree_moments(seed: int = DEFAULT_SEED, scale: float = 1.0, threads=None):
     L, x = 8, 0.2
-    n = _n(100_000, scale)
-    thetas = mc.tree_theta_batch(L, x, seed, n, threads=threads).astype(float)
-    s1 = stats.moment_summary(stats.Sample.from_values(thetas))
-    s2 = stats.moment_summary(stats.Sample.from_values(thetas**2))
-    m1 = moments.expected_paths(L, x)
-    m2 = moments.second_moment_tree(L, x)
-    r1 = CheckResult(
-        criterion="3-first-moment-tree",
-        passed=_within_se(s1.mean, m1, s1.mean_stderr),
-        observed={"mean": s1.mean, "stderr": s1.mean_stderr, "n": n},
-        expected={"mean": m1, "band": 4 * s1.mean_stderr},
-        details=f"L={L} x={x}: mean(Theta)={s1.mean:.4f} vs {m1:.4f} (4SE={4*s1.mean_stderr:.4f})",
-    )
-    r2 = CheckResult(
-        criterion="4-second-moment-tree",
-        passed=_within_se(s2.mean, m2, s2.mean_stderr),
-        observed={"mean_sq": s2.mean, "stderr": s2.mean_stderr, "n": n},
-        expected={"mean_sq": m2, "band": 4 * s2.mean_stderr},
-        details=f"L={L} x={x}: mean(Theta^2)={s2.mean:.3f} vs {m2:.3f} (4SE={4*s2.mean_stderr:.3f})",
-    )
-    return [r1, r2]
+    thetas = mc.tree_theta_batch(L, x, seed, _n(100_000, scale), threads=threads).astype(float)
+    m1, m2 = moments.expected_paths(L, x), moments.second_moment_tree(L, x)
+    return [
+        _mean_band("3-first-moment-tree", "mean", "mean(Theta)", ".4f", thetas, m1, L, x),
+        _mean_band("4-second-moment-tree", "mean_sq", "mean(Theta^2)", ".3f", thetas**2, m2, L, x),
+    ]
 
 
 def check_hypercube_first_moment(seed: int = DEFAULT_SEED, scale: float = 1.0, threads=None):
     L, x = 12, 0.1
     n = _n(100_000, scale)
     thetas = mc.hypercube_theta_batch(L, x, seed, n, threads=threads).astype(float)
-    s1 = stats.moment_summary(stats.Sample.from_values(thetas))
     m1 = moments.expected_paths(L, x)
-    return [
-        CheckResult(
-            criterion="3-first-moment-hypercube",
-            passed=_within_se(s1.mean, m1, s1.mean_stderr),
-            observed={"mean": s1.mean, "stderr": s1.mean_stderr, "n": n},
-            expected={"mean": m1, "band": 4 * s1.mean_stderr},
-            details=f"L={L} x={x}: mean(Theta)={s1.mean:.4f} vs {m1:.4f} (4SE={4*s1.mean_stderr:.4f})",
-        )
-    ]
+    return [_mean_band("3-first-moment-hypercube", "mean", "mean(Theta)", ".4f", thetas, m1, L, x)]
 
 
 # --- criterion 5 -----------------------------------------------------------

@@ -11,6 +11,9 @@ import pytest
 from pathscape import cli, verify
 
 SEED = verify.DEFAULT_SEED
+# the Monte Carlo checks split their replicas into two chunks; records do
+# not depend on the thread count, and the pool never exceeds the cores
+THREADS = 2
 
 
 def _assert_all(results):
@@ -23,7 +26,7 @@ def _assert_all(results):
 @pytest.fixture(scope="module")
 def tree_moment_results():
     # one shared Monte Carlo batch serves criteria 3 (tree) and 4
-    return verify.check_tree_moments(seed=SEED)
+    return verify.check_tree_moments(seed=SEED, threads=THREADS)
 
 
 def test_criterion_01_hypercube_oracle():
@@ -36,7 +39,7 @@ def test_criterion_02_tree_oracle():
 
 def test_criterion_03_first_moments(tree_moment_results):
     first = [r for r in tree_moment_results if r.criterion.startswith("3-")]
-    _assert_all(first + verify.check_hypercube_first_moment(seed=SEED))
+    _assert_all(first + verify.check_hypercube_first_moment(seed=SEED, threads=THREADS))
 
 
 def test_criterion_04_tree_second_moment(tree_moment_results):
@@ -60,7 +63,7 @@ def test_criterion_08_generating_function_limit():
 
 
 def test_criterion_09_existence_probability():
-    _assert_all(verify.check_existence(seed=SEED))
+    _assert_all(verify.check_existence(seed=SEED, threads=THREADS))
 
 
 def test_criterion_10_cascade_fixed_point():
@@ -68,11 +71,11 @@ def test_criterion_10_cascade_fixed_point():
 
 
 def test_criterion_11_cascade_limit():
-    _assert_all(verify.check_cascade(seed=SEED))
+    _assert_all(verify.check_cascade(seed=SEED, threads=THREADS))
 
 
 def test_criterion_12_hypercube_limit_law():
-    _assert_all(verify.check_hypercube_limit_law(seed=SEED))
+    _assert_all(verify.check_hypercube_limit_law(seed=SEED, threads=THREADS))
 
 
 def test_criterion_13_reproducibility(capsys):

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathscape import cli, hypercube, parallel, tree, verify
-from pathscape.parallel import ENV_THREADS, resolve_threads
+from pathscape import cli, hypercube, mc, parallel, tree, verify
+from pathscape.parallel import resolve_threads
 
 
 def _refuse_constant(name):
@@ -203,6 +203,20 @@ def test_path_count_overflow_exits_2(capsys, monkeypatch):
     assert error == {"error": "parameters", "message": "path count overflow at level 21"}
 
 
+def test_allocation_failure_exits_2(capsys, monkeypatch):
+    # a sample count too large to allocate, faked so that the test allocates nothing
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate an array of 10^13 counts")
+
+    monkeypatch.setattr(mc, "hypercube_theta_batch", too_large)
+    code, records, err = _run(
+        capsys, "hypercube", "count", "--dim", "2", "--samples", "10000000000000"
+    )
+    assert code == 2
+    assert records == []
+    assert json.loads(err.splitlines()[-1])["error"] == "parameters"
+
+
 def test_hypercube_exists_independent_of_threads(capsys):
     argv = ["hypercube", "exists", "--dim", "8", "--x", "0.05", "--samples", "20"]
     _, one, _ = _run(capsys, *argv, "--threads", "1")
@@ -238,28 +252,26 @@ def test_bad_thread_flag_exits_2(capsys):
     assert json.loads(err.splitlines()[-1])["error"] == "parameters"
 
 
-def test_bad_thread_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv(ENV_THREADS, "abc")
-    code, records, err = _run(capsys, "tree", "sample", "--dim", "4")
-    assert code == 2
-    assert records == []
-    assert json.loads(err.splitlines()[-1])["error"] == "parameters"
+def test_thread_env_var_is_ignored(capsys, monkeypatch):
+    argv = ["tree", "sample", "--dim", "7", "--x", "0.1", "--samples", "30"]
+    code, plain, _ = _run(capsys, *argv)
+    monkeypatch.setenv("PATHSCAPE_THREADS", "abc")
+    code_env, with_env, _ = _run(capsys, *argv)
+    assert code == code_env == 0
+    for rec in plain + with_env:
+        rec.pop("wall_time_s")
+    assert with_env == plain
 
 
-@pytest.mark.parametrize("threads, env", [(0, None), (-2, None), (None, "abc"), (None, "0")])
-def test_resolve_threads_rejects_bad_counts(monkeypatch, threads, env):
-    if env is not None:
-        monkeypatch.setenv(ENV_THREADS, env)
+@pytest.mark.parametrize("threads", [0, -2])
+def test_resolve_threads_rejects_bad_counts(threads):
     with pytest.raises(ValueError):
         resolve_threads(threads)
 
 
-def test_resolve_threads_defaults(monkeypatch):
-    monkeypatch.delenv(ENV_THREADS, raising=False)
+def test_resolve_threads_defaults():
     assert resolve_threads(None) == 1
     assert resolve_threads(3) == 3
-    monkeypatch.setenv(ENV_THREADS, "2")
-    assert resolve_threads(None) == 2
 
 
 def test_map_replicas_caps_pool_at_cpu_count(monkeypatch):
