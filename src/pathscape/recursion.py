@@ -24,9 +24,14 @@ still sums that closed-form tail cell by cell, out to the exact
 underflow of exp (log < _UNDERFLOW_LOG = -746, a fact of IEEE doubles):
 past it every value and every cell is an exact zero, so the result is
 bit-identical to sweeping the whole grid.  For p(x, 10^4) a sweep
-touches 23 % of the grid on average.  Each sweep runs in place on
-buffers allocated once per call, and the output is bit-identical to the
-full-grid loops.
+touches 23 % of the grid on average.  Within the window the update
+d = -expm1(size * log1p(-D)) is also exactly linear wherever
+y = fl(size * D) < _LINEAR_BOUND = 2^-54: D <= y, and a correctly rounded
+log1p(t) or expm1(t) returns t itself for |t| < 2^-54, so the formula
+yields y bit for bit and only the head of the window up to the last
+point with y >= 2^-54 takes the transcendentals.  Each sweep runs in
+place on buffers allocated once per call, and the output is
+bit-identical to the full-grid loops.
 
 Accuracy is auditable by grid doubling rather than adaptive meshing.
 """
@@ -117,6 +122,13 @@ _TAIL_GRAFT_LOG = -575.0
 #: below about -745.13).  A fact of the number format, not a tolerance.
 _UNDERFLOW_LOG = -746.0
 
+#: Where y = fl(size*D) is below this, -expm1(size*log1p(-D)) is exactly y.
+#: D <= y, and a correctly rounded log1p(t) or expm1(t) equals t for
+#: |t| < 2**-54: the true value lies within a relative |t|/2 < 2**-55 of t,
+#: and half an ulp of t is more than 2**-54 of t.  A fact of IEEE doubles,
+#: not a tolerance (tests check the libm premise on every such binade).
+_LINEAR_BOUND = 2.0**-54
+
 
 def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
     """Tabulate d_L on x in [0, 1], where d_1 = a0 and
@@ -124,9 +136,12 @@ def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
 
     The closed form a0*size*(1-x)^(size-1) replaces d_size wherever its
     log is below _TAIL_GRAFT_LOG, which is a suffix of the grid, so only
-    the window before it is swept (see the module docstring).  The
-    result is bit-identical to sweeping the whole grid and grafting the
-    tail after each sweep.
+    the window before it is swept (see the module docstring).  On the
+    window, each point where y = size*clip(D, 0, 1) < _LINEAR_BOUND keeps
+    y, which is what log1p/expm1 round to there; the transcendentals run
+    on the head up to the last point with y >= _LINEAR_BOUND, found by a
+    mask, since D need not decrease.  The result is bit-identical to
+    sweeping the whole grid and grafting the tail after each sweep.
     """
     h = 1.0 / grid_n
     xs = np.linspace(0.0, 1.0, grid_n + 1)
@@ -176,22 +191,27 @@ def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
             # suffix sums D[i] = seg[cells-1] + ... + seg[i], in that order
             np.add.accumulate(seg[cells - 1 :: -1], out=D[cells - 1 :: -1])
             # d_size = -expm1(size * log1p(-clip(D, 0, 1))) on the window,
-            # written over the head of f, which seg and D no longer need
+            # written over the head of f, which seg and D no longer need;
+            # past the last point b - 1 with size*D >= _LINEAR_BOUND it is
+            # the product size*D itself
             w = m + 1
             t = D[:w].clip(0.0, 1.0, out=D[:w])
-            np.negative(t, out=t)
+            y = np.multiply(t, size, out=f[:w])
+            big = np.flatnonzero(y >= _LINEAR_BOUND)
+            b = int(big[-1]) + 1 if big.size else 0
+            t = np.negative(t[:b], out=t[:b])
             np.log1p(t, out=t)
             np.multiply(t, size, out=t)
             np.expm1(t, out=t)
-            np.negative(t, out=f[:w])
+            np.negative(t, out=f[:b])
     write_tail(L, w, grid_n + 1)
     return f[: grid_n + 1]
 
 
 def tree_gf(lam: float, L: int, grid_n: int) -> GridFunction:
     """Tabulate G(lam, x, L) = E^x[exp(-lam * Theta)] on x in [0, 1]."""
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     if grid_n < 64:
@@ -242,8 +262,8 @@ def p_star(L: int, grid_n: int) -> float:
 
 
 def _fk_grid(z_max: float, grid_n: int) -> np.ndarray:
-    if z_max <= 0:
-        raise ValueError(f"z_max must be positive, got {z_max}")
+    if not (math.isfinite(z_max) and z_max > 0):
+        raise ValueError(f"z_max must be positive and finite, got {z_max}")
     if grid_n < 64:
         raise ValueError(f"grid_n must be >= 64, got {grid_n}")
     return np.linspace(0.0, z_max, grid_n + 1)

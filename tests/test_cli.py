@@ -140,13 +140,18 @@ def test_cascade_all_over_budget_exits_3(capsys, action):
         ["moments", "cond-var", "--dim", "10", "--x", "2", "--k", "2"],
         ["moments", "pair-tree", "--dim", "6", "--q", "1", "--x", "-1"],
         ["moments", "pair-cube", "--dim", "6", "--p", "1", "--q", "1", "--x", "3"],
+        ["recursion", "gf", "--mu", "nan", "--levels", "3", "--grid", "128"],
+        ["recursion", "gf", "--mu", "inf", "--levels", "3", "--grid", "128"],
+        ["recursion", "fk", "--zmax", "inf", "--grid", "128"],
+        ["recursion", "delta-check", "--zmax", "nan", "--grid", "128"],
     ],
     ids=["no-dim", "limits-no-dim", "negative-k", "missing-required", "zero-samples",
          "tree-zero-samples", "zmax-below-zmin", "gf-at-above-grid", "pexist-at-below-grid",
          "cascade-negative-k", "ks-zero-delta", "tree-zero-dim", "exists-x-above-one",
          "thetak-2k-ge-dim", "fk-negative-k", "verify-zero-scale", "verify-inf-scale",
          "second-x-above-one", "cond-var-x-above-one", "pair-tree-x-below-zero",
-         "pair-cube-x-above-one"],
+         "pair-cube-x-above-one", "gf-nan-mu", "gf-inf-mu", "fk-inf-zmax",
+         "delta-check-nan-zmax"],
 )
 def test_bad_invocation_exits_2_with_json_error(capsys, argv):
     code, records, err = _run(capsys, *argv)

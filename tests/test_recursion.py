@@ -86,6 +86,13 @@ def _existence_prob_full(L, grid_n):
 # (2, 64) and (50, 2^10) only take the full-grid branch of the kernel.
 # In the others the window first ends inside the grid at size 66-71, and
 # the integrated slice from size 97-106 on.
+#
+# The window update takes log1p/expm1 only on its head up to the last
+# point b where size*D >= 2^-54, and the plain product past it.  Counted
+# once per sweep: lam = 1e-20 has b = 0 (all linear) on every sweep of
+# every case; lam = 1/L, 1 and 50 and existence_prob have b = w (no
+# linear part) on their one sweep at (2, 64) and on 3-6 sweeps elsewhere,
+# and 0 < b < w on all the others.
 _ORACLE_CASES = [(2, 64), (50, 2**10), (575, 2**12), (700, 2**12), (2000, 2**13)]
 
 
@@ -95,9 +102,9 @@ def test_existence_prob_matches_full_grid_oracle(L, grid_n):
 
 
 @pytest.mark.parametrize("L, grid_n", _ORACLE_CASES)
-@pytest.mark.parametrize("lam_kind", ["1/L", "1", "50"])
+@pytest.mark.parametrize("lam_kind", ["1/L", "1", "50", "1e-20"])
 def test_tree_gf_matches_full_grid_oracle(L, grid_n, lam_kind):
-    lam = {"1/L": 1.0 / L, "1": 1.0, "50": 50.0}[lam_kind]
+    lam = {"1/L": 1.0 / L, "1": 1.0, "50": 50.0, "1e-20": 1e-20}[lam_kind]
     assert np.array_equal(tree_gf(lam, L, grid_n).values, _tree_gf_full(lam, L, grid_n))
 
 
@@ -124,6 +131,41 @@ def test_golden_in_place_sweeps():
     )
 
 
+def test_golden_benchmark_size_sweeps():
+    # the benchmark's and criterion 9's p_star size, recorded before the
+    # window update skipped log1p/expm1 on its linear part
+    values = existence_prob(10**4, 2**15).values
+    assert (
+        hashlib.sha256(values.tobytes()).hexdigest()
+        == "31a6d527f1710b33fc0b2ea215e30552e796298f8a257599cf68d25346d50d78"
+    )
+
+
+def test_log1p_expm1_are_identity_below_linear_bound():
+    # The premise of recursion._LINEAR_BOUND, checked on this platform's
+    # libm: a few thousand mantissas in every binade below 2^-54, the
+    # subnormal ones included, both zeros and both signs, bit for bit.
+    rng = np.random.default_rng(54)
+
+    def spread(lo, span):
+        # the bit patterns lo, lo + span - 1 and up to 2048 in between
+        r = rng.integers(0, span, min(2048, span), dtype=np.uint64)
+        return np.concatenate((np.array([0, span - 1], dtype=np.uint64), r)) + np.uint64(lo)
+
+    # biased exponents 1..968 are the normal binades below 2^-54; the
+    # subnormal binade [2^(j-1074), 2^(j-1073)) is the patterns 2^j + r, r < 2^j
+    bits = [spread(e << 52, 2**52) for e in range(1, 969)]
+    bits += [spread(2**j, 2**j) for j in range(52)]
+    t = np.concatenate(bits + [np.zeros(1, dtype=np.uint64)]).view(np.float64)
+    t = np.concatenate((t, -t))
+    assert np.abs(t).max() == np.nextafter(recursion._LINEAR_BOUND, 0.0)
+    assert recursion._LINEAR_BOUND == 2.0**-54
+    assert np.abs(t[t != 0]).min() == 5e-324
+    assert np.signbit(t[t == 0]).tolist() == [False, True]
+    for fn in (np.log1p, np.expm1):
+        assert np.array_equal(fn(t).view(np.uint64), t.view(np.uint64)), fn.__name__
+
+
 def test_grid_function_validation():
     with pytest.raises(ValueError):
         GridFunction(0.0, 1.0, np.array([1.0, 2.0]))
@@ -144,6 +186,13 @@ def test_parameter_validation():
         fk_iterate(-1, 2.0, 256)
     with pytest.raises(ValueError):
         fk_iterate(2, -1.0, 256)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lam"):
+            tree_gf(bad, 5, 256)
+        with pytest.raises(ValueError, match="z_max"):
+            fk_iterate(2, bad, 256)
+        with pytest.raises(ValueError, match="z_max"):
+            delta_bound_check(2, bad, 256)
 
 
 def test_gf_base_cases():
