@@ -241,7 +241,29 @@ def _at(gf: recursion.GridFunction, at: float) -> float:
     return float(gf(at))
 
 
+# each kernel parameter that a `recursion` error names, and the flag that sets it
+_RECURSION_FLAGS = {
+    "lam": "--mu",
+    "L": "--levels",
+    "grid_n": "--grid",
+    "z_max": "--zmax",
+    "k": "--k",
+    "k_max": "--k",
+}
+
+
 def _cmd_recursion(args):
+    # the kernels own the checks; their messages start with the parameter name
+    try:
+        return _recursion_stats(args)
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name not in _RECURSION_FLAGS:
+            raise
+        raise ValueError(f"{_RECURSION_FLAGS[name]} {rest}") from exc
+
+
+def _recursion_stats(args):
     a = args.action
     if a == "gf":
         gf = recursion.tree_gf(args.mu, args.levels, args.grid)

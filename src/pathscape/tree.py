@@ -10,8 +10,9 @@ exactly the same realization.
 The expected number of alive (open-prefix) nodes is about (2-x)^L; every
 walk carries a per-replica visit budget, and one replica past it makes the
 whole call raise BudgetExceededError: never "zero paths", never dropped.
-Existence is Theta >= 1, so its budget counts the visits of the full walk,
-not those up to the first open path.
+Existence (Theta >= 1) walks a narrow beam first, each replica's lowest-
+valued open nodes per level, and walks in full only the replicas the beam
+cannot decide; its budget counts the visits of the walk that decides.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ DEFAULT_NODE_BUDGET = 10**8
 # Replicas per engine call: at most this many expected alive nodes, (2-x)^L
 # per replica, in one block, which bounds the frontier's memory.
 _BLOCK_NODES = 2**14
+
+# Open nodes per replica and level that the existence beam keeps.
+_BEAM_WIDTH = 32
 
 
 class BudgetExceededError(RuntimeError):
@@ -72,13 +76,17 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _walk(seeds: np.ndarray, L: int, x: float, depth: int, budget: int):
+def _walk(seeds: np.ndarray, L: int, x: float, depth: int, budget: int, width=None):
     """Walk a block of replicas (uint64 `seeds`) level by level to `depth`.
 
-    Returns the open level-`depth` nodes as (values, digests, owner=replica
-    index), each replica's nodes contiguous and in BFS order.  Raises
-    BudgetExceededError as soon as the children of one level take any
-    replica's visit count (arity x alive nodes per level) past `budget`.
+    Returns the open level-`depth` nodes as (values, owner=replica index),
+    each replica's nodes contiguous, and a per-replica bool array: cut.
+    With `width`, each level keeps only each replica's `width` lowest-valued
+    open nodes (a beam: the most children open below a low value); cut
+    marks the replicas that ever had more.  A replica never cut had its full
+    walk.  Without `width` nodes stay in BFS order and nothing is cut.
+    Raises BudgetExceededError as soon as the children of one level take any
+    replica's visit count (arity x nodes walked per level) past `budget`.
     """
     TreeParams(L, x, 0, budget)  # validates dim, root value and budget
     if not 0 <= depth < L:
@@ -86,6 +94,7 @@ def _walk(seeds: np.ndarray, L: int, x: float, depth: int, budget: int):
     n = len(seeds)
     values, digests, owner = np.full(n, float(x)), _splitmix64(seeds.copy()), np.arange(n)
     visits = np.zeros(n, dtype=np.int64)
+    cut = np.zeros(n, dtype=bool)
     for level in range(depth):
         arity = L - level
         visits += arity * np.bincount(owner, minlength=n)
@@ -97,12 +106,31 @@ def _walk(seeds: np.ndarray, L: int, x: float, depth: int, budget: int):
         digests = hashes[alive]
         values = (digests >> 11) * 2.0**-53
         owner = np.broadcast_to(owner[:, None], alive.shape)[alive]
-    return values, digests, owner
+        if width is not None:
+            counts = np.bincount(owner, minlength=n)
+            over = counts > width
+            if over.any():
+                cut |= over
+                # owner is non-decreasing and values < 1, so this key sorts
+                # replica-major: sorted position i still belongs to owner[i].
+                # Which of two tied nodes stays changes no replica's status.
+                order = np.argsort(2.0 * owner + values)
+                rank = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+                keep = order[rank < width]
+                values, digests, owner = values[keep], digests[keep], owner[keep]
+    return values, owner, cut
+
+
+def _block_step(L: int, x: float, width=None) -> int:
+    """Replicas per engine call.  A beam of `width` holds at most width*L
+    children per replica and level, and never more than the full walk."""
+    step = max(1, int(_BLOCK_NODES * max(1.0, 2.0 - x) ** -L))
+    return step if width is None else max(step, _BLOCK_NODES // (width * L))
 
 
 def replica_blocks(L: int, x: float, start: int, stop: int) -> list[tuple[int, int]]:
     """Consecutive spans covering range(start, stop), one engine call each."""
-    step = max(1, int(_BLOCK_NODES * max(1.0, 2.0 - x) ** -L))
+    step = _block_step(L, x)
     return [(a, min(a + step, stop)) for a in range(start, stop, step)]
 
 
@@ -119,14 +147,36 @@ def block_chunk(block_fn, dtype, L, x, seed, args, start, stop) -> np.ndarray:
 def theta_block(seeds: np.ndarray, L: int, x: float, budget: int) -> np.ndarray:
     """Exact Theta per replica seed.  A node at level L-1 with value < 1
     contributes exactly one open path (its single leaf child carries 1)."""
-    values, _, owner = _walk(seeds, L, x, L - 1, budget)
+    values, owner, _ = _walk(seeds, L, x, L - 1, budget)
     return np.bincount(owner[values < 1.0], minlength=len(seeds))
+
+
+def exists_chunk(L: int, x: float, seed: int, budget: int, start: int, stop: int) -> np.ndarray:
+    """Theta >= 1 for each replica in range(start, stop), beam first.
+
+    Blocks of replicas first walk a beam of _BEAM_WIDTH nodes per level.  A
+    beam node at level L-1 proves an open path of its replica, and a beam
+    never cut was the replica's full walk.  Only the other replicas take the
+    full walk, in full-walk blocks.  Each replica is charged the visits of
+    the walk that decides it.
+    """
+    seeds = np.array([derive_seed(seed, r) for r in range(start, stop)], dtype=np.uint64)
+    found, cut = np.empty(len(seeds), dtype=bool), np.empty(len(seeds), dtype=bool)
+    step = _block_step(L, x, _BEAM_WIDTH)
+    for a in range(0, len(seeds), step):
+        block = seeds[a : a + step]
+        values, owner, cut[a : a + step] = _walk(block, L, x, L - 1, budget, _BEAM_WIDTH)
+        found[a : a + step] = np.bincount(owner[values < 1.0], minlength=len(block)) > 0
+    rest = np.flatnonzero(cut & ~found)
+    for a, b in replica_blocks(L, x, 0, len(rest)):
+        found[rest[a:b]] = theta_block(seeds[rest[a:b]], L, x, budget) > 0
+    return found
 
 
 def theta_k_block(seeds: np.ndarray, L: int, x: float, k: int, budget: int) -> np.ndarray:
     """Theta_k per replica seed, each a sequential sum of Python-float
     powers as in theta_k_from_front (numpy's power can differ in the last bit)."""
-    values, _, owner = _walk(seeds, L, x, k, budget)
+    values, owner, _ = _walk(seeds, L, x, k, budget)
     fronts = np.split(values, np.cumsum(np.bincount(owner, minlength=len(seeds)))[:-1])
     return np.array([theta_k_from_front(front.tolist(), L, k) for front in fronts])
 
@@ -172,12 +222,12 @@ def tree_existence_mc(
 ) -> ExistenceEstimate:
     """Monte Carlo estimate of P^x(Theta >= 1) over derived replica seeds.
 
-    A realization whose full walk exhausts the budget raises
-    BudgetExceededError; none is left out of the estimate.
+    A realization whose deciding walk (`exists_chunk`) exhausts the budget
+    raises BudgetExceededError; none is left out of the estimate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    worker = partial(block_chunk, theta_block, np.int64, L, x, seed, (budget,))
+    worker = partial(exists_chunk, L, x, seed, budget)
     hits = int(np.count_nonzero(map_replicas(worker, samples, threads)))
     p = hits / samples
     se = (p * (1.0 - p) / samples) ** 0.5

@@ -76,7 +76,7 @@ def test_alive_front_values_exceed_root():
     L, x = 8, 0.35
     seeds = np.array([SEED], dtype=np.uint64)
     for k in (1, 2, 3):
-        values, _, owner = tree._walk(seeds, L, x, k, tree.DEFAULT_NODE_BUDGET)
+        values, owner, _ = tree._walk(seeds, L, x, k, tree.DEFAULT_NODE_BUDGET)
         assert (owner == 0).all()
         assert (values > x).all()
 
@@ -116,20 +116,52 @@ def test_existence_mc_reports_budget_hits():
         tree_existence_mc(12, 0.0, 20, SEED, budget=50)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_existence_budget_hit_on_one_replica_raises(threads):
-    # the estimate never drops a realization: one over budget among 40 raises,
-    # also from a worker process
-    L, x, n, budget = 10, 0.0, 40, 10_000
-    over = 0
+def _over_budget(L, x, n, budget):
+    """Replicas in range(n) whose full walk exhausts `budget`."""
+    over = set()
     for r in range(n):
         try:
             sample_theta_tree(TreeParams(L, x, derive_seed(SEED, r), budget))
         except BudgetExceededError:
-            over += 1
-    assert over == 1
-    with pytest.raises(BudgetExceededError, match="node budget 10000 exhausted"):
+            over.add(r)
+    return over
+
+
+def _beam_undecided(L, x, n):
+    """Replicas in range(n) whose beam was cut and found no open path."""
+    seeds = np.array([derive_seed(SEED, r) for r in range(n)], dtype=np.uint64)
+    _, owner, cut = tree._walk(seeds, L, x, L - 1, tree.DEFAULT_NODE_BUDGET, tree._BEAM_WIDTH)
+    return set(np.flatnonzero(cut & (np.bincount(owner, minlength=n) == 0)).tolist())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_existence_budget_hit_on_one_replica_raises(threads):
+    # the estimate never drops a realization: one over budget among 40 raises,
+    # also from a worker process.  Replica 3 has no open path and a cut beam,
+    # so only its full walk decides it; the other replicas over budget are
+    # decided by their beams.
+    L, x, n, budget = 10, 0.0, 40, 4000
+    over = _over_budget(L, x, n, budget)
+    assert len(over) > 1
+    assert over & _beam_undecided(L, x, n) == {3}
+    with pytest.raises(BudgetExceededError, match="node budget 4000 exhausted"):
         tree_existence_mc(L, x, n, SEED, budget=budget, threads=threads)
+
+
+def test_existence_budget_charges_the_deciding_walk():
+    # replica 26's full walk exceeds budget 10 000, but its beam finds an open
+    # path within it, so the estimate is the unbudgeted one
+    L, x, n, budget = 10, 0.0, 40, 10_000
+    assert _over_budget(L, x, n, budget) == {26}
+    assert 26 not in _beam_undecided(L, x, n)
+    got = tree_existence_mc(L, x, n, SEED, budget=budget)
+    assert got == tree_existence_mc(L, x, n, SEED)
+    # replica 0's beam finds a path in exactly 1192 visits; its full walk
+    # takes more
+    assert _over_budget(L, x, 1, 1192) == {0}
+    assert tree_existence_mc(L, x, 1, SEED, budget=1192).estimate == 1.0
+    with pytest.raises(BudgetExceededError, match="node budget 1191 exhausted"):
+        tree_existence_mc(L, x, 1, SEED, budget=1191)
 
 
 def test_existence_mc_independent_of_threads():
@@ -141,6 +173,26 @@ def test_existence_mc_independent_of_threads():
     assert tree_existence_mc(L, x, n, SEED, threads=2) == one
     loop = [sample_theta_tree(TreeParams(L, x, derive_seed(SEED, r))) > 0 for r in range(n)]
     assert one.estimate == sum(loop) / n
+
+
+@given(
+    L=st.integers(1, 12),
+    x=st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 2.0**-53]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**64 - 1),
+    blocks=st.integers(0, 2),
+    extra=st.integers(1, 10**6),
+)
+@settings(max_examples=30, deadline=None)
+def test_beam_first_existence_matches_full_walk(L, x, seed, blocks, extra):
+    # a sample count that is no multiple of the beam's block size
+    step = tree._block_step(L, x, tree._BEAM_WIDTH)
+    n = blocks * step + 1 + extra % (step - 1)
+    budget = tree.DEFAULT_NODE_BUDGET
+    got = tree.exists_chunk(L, x, seed, budget, 0, n)
+    assert got.tolist() == (mc.tree_theta_batch(L, x, seed, n) > 0).tolist()
+    one = tree_existence_mc(L, x, n, seed, threads=1)
+    assert one.estimate == np.count_nonzero(got) / n
+    assert tree_existence_mc(L, x, n, seed, threads=2) == one
 
 
 def test_theta_batch_thread_and_block_invariance():
