@@ -42,7 +42,7 @@ class CascadeParams:
 
     def __post_init__(self):
         if self.generations < 0:
-            raise ValueError("generations must be >= 0")
+            raise ValueError(f"generations must be >= 0, got {self.generations}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.samples < 1:

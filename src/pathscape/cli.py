@@ -112,9 +112,10 @@ def _add_x_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_x(args) -> float:
-    if args.x_scaled is not None:
+    # X scales with dim; at dim < 1 the kernel's own dim check reports the error
+    if args.x_scaled is not None and args.dim >= 1:
         return args.x_scaled / args.dim
-    if args.logscaled is not None:
+    if args.logscaled is not None and args.dim >= 1:
         return (math.log(args.dim) + args.logscaled) / args.dim
     return args.x if args.x is not None else 0.0
 
@@ -124,6 +125,35 @@ def _sample_stats(values, key: str) -> dict:
     if len(values) == 1:
         return {key: values[0].item()}
     return asdict(stats.moment_summary(stats.Sample.from_values(values)))
+
+
+# --- parameter errors -------------------------------------------------------
+
+# the kernels own every check, and each message starts with the parameter it
+# names; this maps that name to the flag that sets it
+_FLAGS = {
+    "dim": "--dim", "L": "--dim", "k": "--k", "generations": "--k", "p": "--p", "q": "--q",
+    "n": "--n", "delta": "--delta", "samples": "--samples", "node_budget": "--budget",
+    "scale": "--scale", "threads": "--threads",
+}
+# `recursion` kernels take the paper's names: there L is the level count
+_RECURSION_FLAGS = _FLAGS | {
+    "L": "--levels", "lam": "--mu", "grid_n": "--grid", "z_max": "--zmax", "k_max": "--k",
+}
+
+
+def _flag_message(args, message: str) -> str:
+    """`message` with its leading kernel parameter replaced by the flag that
+    set it; x names whichever of --x, --X-scaled and --logscaled was given."""
+    name, _, rest = message.partition(" ")
+    # only a flag of this group: a check inside a `verify` battery names none
+    if name == "x" and hasattr(args, "x"):
+        for flag, value in (("--X-scaled", args.x_scaled), ("--logscaled", args.logscaled)):
+            if value is not None:
+                return f"x from {flag} {rest}"
+        return f"--x {rest}"
+    flag = (_RECURSION_FLAGS if args.group == "recursion" else _FLAGS).get(name)
+    return f"{flag} {rest}" if flag and hasattr(args, flag[2:]) else message
 
 
 # --- subcommand handlers; each returns its stats dict ------------------------
@@ -241,29 +271,7 @@ def _at(gf: recursion.GridFunction, at: float) -> float:
     return float(gf(at))
 
 
-# each kernel parameter that a `recursion` error names, and the flag that sets it
-_RECURSION_FLAGS = {
-    "lam": "--mu",
-    "L": "--levels",
-    "grid_n": "--grid",
-    "z_max": "--zmax",
-    "k": "--k",
-    "k_max": "--k",
-}
-
-
 def _cmd_recursion(args):
-    # the kernels own the checks; their messages start with the parameter name
-    try:
-        return _recursion_stats(args)
-    except ValueError as exc:
-        name, _, rest = str(exc).partition(" ")
-        if name not in _RECURSION_FLAGS:
-            raise
-        raise ValueError(f"{_RECURSION_FLAGS[name]} {rest}") from exc
-
-
-def _recursion_stats(args):
     a = args.action
     if a == "gf":
         gf = recursion.tree_gf(args.mu, args.levels, args.grid)
@@ -317,13 +325,7 @@ def _cmd_verify(args, records: list[ExperimentRecord]) -> int:
                 params={"battery": args.battery, "scale": args.scale},
                 seed=args.seed,
                 rng=_RNG_TAGS[args.group],
-                stats={
-                    "criterion": res.criterion,
-                    "passed": res.passed,
-                    "observed": res.observed,
-                    "expected": res.expected,
-                    "details": res.details,
-                },
+                stats=asdict(res),
                 wall_time_s=seconds,
             )
         )
@@ -449,7 +451,8 @@ def run(argv=None) -> int:
                 raise ValueError(f"cannot write --csv: {exc}") from exc
     # an allocation the parameters make too large is a parameter error too
     except (ValueError, KeyError, MemoryError, hypercube.PathCountOverflowError) as exc:
-        print(json.dumps({"error": "parameters", "message": str(exc)}), file=sys.stderr)
+        message = _flag_message(args, str(exc))
+        print(json.dumps({"error": "parameters", "message": message}), file=sys.stderr)
         return EXIT_PARAMS
     except tree.BudgetExceededError as exc:
         print(json.dumps({"error": "budget", "message": str(exc)}), file=sys.stderr)

@@ -65,7 +65,7 @@ def generate_hypercube(L: int, x: float, seed: int, replica: int = 0) -> Hypercu
     if not 1 <= L <= DEFAULT_DIM_CAP:
         raise ValueError(f"dim must be in [1, {DEFAULT_DIM_CAP}], got {L}")
     if not 0.0 <= x <= 1.0:
-        raise ValueError(f"origin value must be in [0, 1], got {x}")
+        raise ValueError(f"x must be in [0, 1], got {x}")
     rng = philox_stream(seed, replica)
     fitness = rng.random(1 << L)
     fitness[0] = x
@@ -189,7 +189,7 @@ def theta_k_hypercube(land: HypercubeLandscape, k: int) -> float:
     """
     L = land.dim
     if not 0 <= 2 * k < L:
-        raise ValueError(f"need 0 <= 2k < L, got k={k}, L={L}")
+        raise ValueError(f"k must be in [0, {(L - 1) // 2}] (2k < dim), got {k}")
     n = _counts_from_origin(land.fitness, L, k).astype(float)
     m = _counts_to_top(land.fitness, L, k).astype(float)
     xs = land.fitness[_level_masks(L, k)]

@@ -89,13 +89,15 @@ def expected_paths(L: int, x: float) -> float:
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     if x == 1.0:
-        return float(L == 1)  # 0^0 = 1
+        return 0.0  # every path ends on the value 1, and a tie blocks it, also at L = 1
     return float(L * np.exp((L - 1) * math.log1p(-x)))
 
 
 def _check_q(L: int, q: int) -> None:
+    if L < 2:
+        raise ValueError(f"L must be >= 2, got {L}")
     if not 0 <= q <= L - 2:
-        raise ValueError(f"need 0 <= q <= L-2, got q={q}, L={L}")
+        raise ValueError(f"q must be in [0, {L - 2}], got {q}")
 
 
 def log_a_coeff(L: int, q: int) -> float:
@@ -172,7 +174,7 @@ def cond_var_tree(L: int, x: float, k: int) -> float:
     """E^x[var(Theta | first k tree levels)], exact finite-L form."""
     _check_x(x)
     if not 1 <= k <= L - 2:
-        raise ValueError(f"need 1 <= k <= L-2, got k={k}, L={L}")
+        raise ValueError(f"k must be in [1, {L - 2}], got {k}")
     if x == 1.0:
         return 0.0
     log_terms = _tree_pair_log_terms(L, x)
@@ -295,8 +297,9 @@ def pair_open_prob_hypercube(L: int, p: int, q: int, x: float) -> float:
     """Open-pair probability for a hypercube pair agreeing on the first p
     and last q steps and disjoint in between."""
     _check_x(x)
-    if p < 0 or q < 0 or p + q > L - 2:
-        raise ValueError(f"need p,q >= 0 and p+q <= L-2, got p={p}, q={q}, L={L}")
+    _check_q(L, q)
+    if not 0 <= p <= L - 2 - q:
+        raise ValueError(f"p must be in [0, {L - 2 - q}] (p + q <= dim - 2), got {p}")
     if x == 1.0:
         return 0.0
     s = p + q

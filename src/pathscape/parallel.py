@@ -23,7 +23,7 @@ def resolve_threads(threads: int | None) -> int:
     if threads is None:
         return 1
     if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
+        raise ValueError(f"threads must be >= 1, got {threads}")
     return threads
 
 

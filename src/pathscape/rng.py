@@ -38,7 +38,7 @@ def splitmix64(z: int) -> int:
 
 
 def derive_seed(master_seed: int, replica: int) -> int:
-    """64-bit per-replica seed for the splitmix-based tree streams."""
+    """64-bit per-replica seed for the tree streams; `replica` may be a uint64 array."""
     return splitmix64(splitmix64(master_seed & _M64) ^ (replica & _M64))
 
 

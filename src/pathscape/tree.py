@@ -10,9 +10,11 @@ exactly the same realization.
 The expected number of alive (open-prefix) nodes is about (2-x)^L; every
 walk carries a per-replica visit budget, and one replica past it makes the
 whole call raise BudgetExceededError: never "zero paths", never dropped.
-Existence (Theta >= 1) walks a narrow beam first, each replica's lowest-
-valued open nodes per level, and walks in full only the replicas the beam
-cannot decide; its budget counts the visits of the walk that decides.
+One driver, `block_chunk`, derives a chunk's replica seeds in one call and
+runs a block function on them: `theta_block`, `theta_k_block` or
+`exists_block`, which walks a narrow beam first (each replica's lowest-valued
+open nodes per level) and in full only the replicas the beam cannot decide;
+its budget counts the visits of the walk that decides.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ class TreeParams:
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if not 0.0 <= self.root_value <= 1.0:
-            raise ValueError(f"root value must be in [0, 1], got {self.root_value}")
+            raise ValueError(f"x must be in [0, 1], got {self.root_value}")
         if self.node_budget <= 0:
-            raise ValueError("node_budget must be positive")
+            raise ValueError(f"node_budget must be >= 1, got {self.node_budget}")
 
 
 def _root_digest(seed: int) -> int:
@@ -90,7 +92,7 @@ def _walk(seeds: np.ndarray, L: int, x: float, depth: int, budget: int, width=No
     """
     TreeParams(L, x, 0, budget)  # validates dim, root value and budget
     if not 0 <= depth < L:
-        raise ValueError(f"need 0 <= k < dim, got k={depth}")
+        raise ValueError(f"k must be in [0, {L - 1}], got {depth}")
     n = len(seeds)
     values, digests, owner = np.full(n, float(x)), _splitmix64(seeds.copy()), np.arange(n)
     visits = np.zeros(n, dtype=np.int64)
@@ -128,19 +130,14 @@ def _block_step(L: int, x: float, width=None) -> int:
     return step if width is None else max(step, _BLOCK_NODES // (width * L))
 
 
-def replica_blocks(L: int, x: float, start: int, stop: int) -> list[tuple[int, int]]:
-    """Consecutive spans covering range(start, stop), one engine call each."""
-    step = _block_step(L, x)
-    return [(a, min(a + step, stop)) for a in range(start, stop, step)]
-
-
-def block_chunk(block_fn, dtype, L, x, seed, args, start, stop) -> np.ndarray:
+def block_chunk(block_fn, dtype, L, x, seed, args, start, stop, width=None) -> np.ndarray:
     """block_fn(seeds, L, x, *args) over replicas range(start, stop), one
-    engine call per replica block, on the derived replica seeds."""
+    engine call per block of _block_step(L, x, width) derived replica seeds."""
+    seeds = derive_seed(seed, np.arange(start, stop, dtype=np.uint64))
     out = np.empty(stop - start, dtype=dtype)
-    for a, b in replica_blocks(L, x, start, stop):
-        seeds = np.array([derive_seed(seed, r) for r in range(a, b)], dtype=np.uint64)
-        out[a - start : b - start] = block_fn(seeds, L, x, *args)
+    step = _block_step(L, x, width)
+    for a in range(0, len(seeds), step):
+        out[a : a + step] = block_fn(seeds[a : a + step], L, x, *args)
     return out
 
 
@@ -151,25 +148,21 @@ def theta_block(seeds: np.ndarray, L: int, x: float, budget: int) -> np.ndarray:
     return np.bincount(owner[values < 1.0], minlength=len(seeds))
 
 
-def exists_chunk(L: int, x: float, seed: int, budget: int, start: int, stop: int) -> np.ndarray:
-    """Theta >= 1 for each replica in range(start, stop), beam first.
+def exists_block(seeds: np.ndarray, L: int, x: float, budget: int) -> np.ndarray:
+    """Theta >= 1 per replica seed, beam first.
 
-    Blocks of replicas first walk a beam of _BEAM_WIDTH nodes per level.  A
-    beam node at level L-1 proves an open path of its replica, and a beam
-    never cut was the replica's full walk.  Only the other replicas take the
-    full walk, in full-walk blocks.  Each replica is charged the visits of
-    the walk that decides it.
+    The block first walks a beam of _BEAM_WIDTH nodes per level.  A beam
+    node at level L-1 proves an open path of its replica, and a beam never
+    cut was the replica's full walk.  Only the other replicas take the full
+    walk, in full-walk blocks.  Each replica is charged the visits of the
+    walk that decides it.
     """
-    seeds = np.array([derive_seed(seed, r) for r in range(start, stop)], dtype=np.uint64)
-    found, cut = np.empty(len(seeds), dtype=bool), np.empty(len(seeds), dtype=bool)
-    step = _block_step(L, x, _BEAM_WIDTH)
-    for a in range(0, len(seeds), step):
-        block = seeds[a : a + step]
-        values, owner, cut[a : a + step] = _walk(block, L, x, L - 1, budget, _BEAM_WIDTH)
-        found[a : a + step] = np.bincount(owner[values < 1.0], minlength=len(block)) > 0
+    values, owner, cut = _walk(seeds, L, x, L - 1, budget, _BEAM_WIDTH)
+    found = np.bincount(owner[values < 1.0], minlength=len(seeds)) > 0
     rest = np.flatnonzero(cut & ~found)
-    for a, b in replica_blocks(L, x, 0, len(rest)):
-        found[rest[a:b]] = theta_block(seeds[rest[a:b]], L, x, budget) > 0
+    step = _block_step(L, x)
+    for a in range(0, len(rest), step):
+        found[rest[a : a + step]] = theta_block(seeds[rest[a : a + step]], L, x, budget) > 0
     return found
 
 
@@ -222,12 +215,12 @@ def tree_existence_mc(
 ) -> ExistenceEstimate:
     """Monte Carlo estimate of P^x(Theta >= 1) over derived replica seeds.
 
-    A realization whose deciding walk (`exists_chunk`) exhausts the budget
+    A realization whose deciding walk (`exists_block`) exhausts the budget
     raises BudgetExceededError; none is left out of the estimate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    worker = partial(exists_chunk, L, x, seed, budget)
+    worker = partial(block_chunk, exists_block, bool, L, x, seed, (budget,), width=_BEAM_WIDTH)
     hits = int(np.count_nonzero(map_replicas(worker, samples, threads)))
     p = hits / samples
     se = (p * (1.0 - p) / samples) ** 0.5

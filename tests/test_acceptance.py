@@ -4,7 +4,9 @@ Each criterion is one test; the check's pass/fail line is printed and
 attached to the assertion message, so `pytest -v` reads as a scorecard.
 """
 
+import hashlib
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -15,12 +17,23 @@ SEED = verify.DEFAULT_SEED
 # not depend on the thread count, and the pool never exceeds the cores
 THREADS = 2
 
+# sha256 of a check's results, as `asdict` with sorted keys, at SEED and
+# full strength: the records of batteries thm1, thm2 and thm3 stay bit-exact
+RECORD_DIGESTS = {
+    "check_tree_gf_limit": "02923e1a39ce732437008d4be3e3b49c0f6a31d7a988c17c82a7e51c54d3a918",
+    "check_existence": "9449f20b82408670a4a4c77786dc2c9165609901d1121d4332e5d90c90117e1e",
+    "check_hypercube_limit_law": "e97e8767eef8321065c752e2073e0434484495a160aed82b38c26d31370fb925",
+}
 
-def _assert_all(results):
+
+def _assert_all(results, digest=None):
     for res in results:
         print(res.line())
     failed = [res.line() for res in results if not res.passed]
     assert not failed, "\n".join(failed)
+    if digest is not None:
+        dump = json.dumps([asdict(res) for res in results], sort_keys=True)
+        assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")
@@ -59,11 +72,12 @@ def test_criterion_07_indecomposable_pairs():
 
 
 def test_criterion_08_generating_function_limit():
-    _assert_all(verify.check_tree_gf_limit(seed=SEED))
+    _assert_all(verify.check_tree_gf_limit(seed=SEED), RECORD_DIGESTS["check_tree_gf_limit"])
 
 
 def test_criterion_09_existence_probability():
-    _assert_all(verify.check_existence(seed=SEED, threads=THREADS))
+    results = verify.check_existence(seed=SEED, threads=THREADS)
+    _assert_all(results, RECORD_DIGESTS["check_existence"])
 
 
 def test_criterion_10_cascade_fixed_point():
@@ -75,7 +89,8 @@ def test_criterion_11_cascade_limit():
 
 
 def test_criterion_12_hypercube_limit_law():
-    _assert_all(verify.check_hypercube_limit_law(seed=SEED, threads=THREADS))
+    results = verify.check_hypercube_limit_law(seed=SEED, threads=THREADS)
+    _assert_all(results, RECORD_DIGESTS["check_hypercube_limit_law"])
 
 
 def test_criterion_13_reproducibility(capsys):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathscape import cli, hypercube, mc, parallel, tree, verify
+from pathscape import cli, hypercube, mc, moments, parallel, tree, verify
 from pathscape.parallel import resolve_threads
 
 
@@ -129,24 +129,37 @@ def test_cascade_all_over_budget_exits_3(capsys, action):
         (["recursion", "delta-check", "--zmax", "0.1", "--grid", "128"], "--zmax = 0.1"),
         (["recursion", "gf", "--mu", "1", "--levels", "3", "--grid", "128", "--at", "2"], "--at"),
         (["recursion", "pexist", "--levels", "3", "--grid", "128", "--at", "-1"], "--at"),
-        (["cascade", "sample", "--k", "-1"], None),
-        (["cascade", "ks", "--k", "2", "--delta", "0", "--samples", "10"], None),
-        (["tree", "sample", "--dim", "0"], None),
-        (["tree", "exists", "--dim", "6", "--x", "2", "--samples", "3"], None),
-        (["hypercube", "thetak", "--dim", "6", "--k", "3"], None),
+        (["cascade", "sample", "--k", "-1"], "--k must be"),
+        (["cascade", "ks", "--k", "2", "--delta", "0", "--samples", "10"], "--delta must be"),
+        (["tree", "sample", "--dim", "0"], "--dim must be"),
+        (["tree", "exists", "--dim", "6", "--x", "2", "--samples", "3"], "--x must be"),
+        (["hypercube", "thetak", "--dim", "6", "--k", "3"], "--k must be"),
         (["recursion", "fk", "--k", "-1", "--grid", "128"], "--k must be"),
-        (["verify", "moments", "--scale", "0"], None),
-        (["verify", "moments", "--scale", "inf"], None),
-        (["moments", "second", "--dim", "5", "--x", "1.5"], None),
-        (["moments", "cond-var", "--dim", "10", "--x", "2", "--k", "2"], None),
-        (["moments", "pair-tree", "--dim", "6", "--q", "1", "--x", "-1"], None),
-        (["moments", "pair-cube", "--dim", "6", "--p", "1", "--q", "1", "--x", "3"], None),
+        (["verify", "moments", "--scale", "0"], "--scale must be"),
+        (["verify", "moments", "--scale", "inf"], "--scale must be"),
+        (["moments", "second", "--dim", "5", "--x", "1.5"], "--x must be"),
+        (["moments", "cond-var", "--dim", "10", "--x", "2", "--k", "2"], "--x must be"),
+        (["moments", "pair-tree", "--dim", "6", "--q", "1", "--x", "-1"], "--x must be"),
+        (
+            ["moments", "pair-cube", "--dim", "6", "--p", "1", "--q", "1", "--x", "3"],
+            "--x must be",
+        ),
         (["recursion", "gf", "--mu", "nan", "--levels", "3", "--grid", "128"], "--mu must be"),
         (["recursion", "gf", "--mu", "inf", "--levels", "3", "--grid", "128"], "--mu must be"),
         (["recursion", "fk", "--zmax", "inf", "--grid", "128"], "--zmax must be"),
         (["recursion", "delta-check", "--zmax", "nan", "--grid", "128"], "--zmax must be"),
         (["recursion", "gf", "--levels", "0", "--grid", "128"], "--levels must be"),
         (["recursion", "pexist", "--levels", "3", "--grid", "10"], "--grid must be"),
+        (["tree", "sample", "--dim", "5", "--X-scaled", "10"], "x from --X-scaled must be"),
+        (["hypercube", "count", "--dim", "5", "--logscaled", "10"], "x from --logscaled"),
+        (["tree", "sample", "--dim", "0", "--X-scaled", "1"], "--dim must be"),
+        (["hypercube", "count", "--dim", "0", "--logscaled", "1"], "--dim must be"),
+        (["tree", "sample", "--dim", "5", "--budget", "0"], "--budget must be"),
+        (["hypercube", "count", "--dim", "3", "--threads", "0"], "--threads must be"),
+        (["moments", "a-coeff", "--dim", "5", "--q", "9"], "--q must be"),
+        (["moments", "pair-cube", "--dim", "6", "--p", "4", "--q", "1"], "--p must be"),
+        (["moments", "bn", "--n", "0"], "--n must be"),
+        (["moments", "pair-tree", "--dim", "1"], "--dim must be >= 2"),
     ],
     ids=["no-dim", "limits-no-dim", "negative-k", "missing-required", "zero-samples",
          "tree-zero-samples", "zmax-below-zmin", "gf-at-above-grid", "pexist-at-below-grid",
@@ -154,7 +167,10 @@ def test_cascade_all_over_budget_exits_3(capsys, action):
          "thetak-2k-ge-dim", "fk-negative-k", "verify-zero-scale", "verify-inf-scale",
          "second-x-above-one", "cond-var-x-above-one", "pair-tree-x-below-zero",
          "pair-cube-x-above-one", "gf-nan-mu", "gf-inf-mu", "fk-inf-zmax",
-         "delta-check-nan-zmax", "gf-zero-levels", "pexist-small-grid"],
+         "delta-check-nan-zmax", "gf-zero-levels", "pexist-small-grid",
+         "x-scaled-above-dim", "logscaled-above-one", "x-scaled-zero-dim",
+         "logscaled-zero-dim", "zero-budget", "zero-threads", "a-coeff-q-above-dim",
+         "pair-cube-p-plus-q-above-dim", "bn-zero-n", "pair-tree-dim-one"],
 )
 def test_bad_invocation_exits_2_with_json_error(capsys, argv, names):
     code, records, err = _run(capsys, *argv)
@@ -162,8 +178,8 @@ def test_bad_invocation_exits_2_with_json_error(capsys, argv, names):
     assert records == []
     error = json.loads(err.splitlines()[-1])
     assert error["error"] == "parameters"
-    # where given, the flag (or the words) the message must name
-    assert names is None or names in error["message"]
+    # the flag (or the words) the message must name
+    assert names in error["message"]
 
 
 @pytest.mark.parametrize(
@@ -199,6 +215,25 @@ def test_verify_check_with_every_realization_over_budget_exits_3(capsys, monkeyp
     assert code == 3
     assert records == []
     assert json.loads(err.splitlines()[-1])["error"] == "budget"
+
+
+@pytest.mark.parametrize(
+    ("kernel", "message"),
+    [
+        (lambda: moments.cond_var_tree(10, 0.2, 9), "k must be in [1, 8], got 9"),
+        (lambda: moments.expected_paths(3, 2.0), "x must be in [0, 1], got 2.0"),
+    ],
+    ids=["k", "x"],
+)
+def test_kernel_error_inside_a_battery_names_no_flag(capsys, monkeypatch, kernel, message):
+    # verify has neither --k nor --x, so the kernel's own words stand
+    def bad(seed, scale, threads):
+        kernel()
+
+    monkeypatch.setitem(verify.BATTERIES, "moments", [bad])
+    code, records, err = _run(capsys, "verify", "moments")
+    assert code == 2
+    assert json.loads(err.splitlines()[-1]) == {"error": "parameters", "message": message}
 
 
 def test_path_count_overflow_exits_2(capsys, monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathscape import moments
+from pathscape import mc, moments
 from pathscape.moments import (
     a_bound_check,
     a_coeff,
@@ -45,6 +45,14 @@ def test_expected_paths_trivial():
     assert expected_paths(4, 0.0) == 4.0
     assert expected_paths(5, 1.0) == 0.0
     assert expected_paths(1, 0.3) == 1.0
+
+
+@pytest.mark.parametrize("L", [1, 2, 5])
+def test_expected_paths_at_x_one_is_zero_like_both_samplers(L):
+    # every path ends on the value 1 and a tie blocks it, so Theta = 0
+    assert expected_paths(L, 1.0) == 0.0
+    assert mc.tree_theta_batch(L, 1.0, 11, 20).tolist() == [0] * 20
+    assert mc.hypercube_theta_batch(L, 1.0, 11, 20).tolist() == [0] * 20
 
 
 @given(L=st.integers(2, 30), data=st.data())

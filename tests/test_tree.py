@@ -166,8 +166,7 @@ def test_existence_budget_charges_the_deciding_walk():
 
 def test_existence_mc_independent_of_threads():
     L, x = 9, 0.0
-    (a, b), *_ = tree.replica_blocks(L, x, 0, 10**6)
-    n = 3 * (b - a) + 5
+    n = 3 * tree._block_step(L, x) + 5
     one = tree_existence_mc(L, x, n, SEED, threads=1)
     assert one.budget_hits == 0 and 0 < one.estimate < 1
     assert tree_existence_mc(L, x, n, SEED, threads=2) == one
@@ -188,18 +187,29 @@ def test_beam_first_existence_matches_full_walk(L, x, seed, blocks, extra):
     step = tree._block_step(L, x, tree._BEAM_WIDTH)
     n = blocks * step + 1 + extra % (step - 1)
     budget = tree.DEFAULT_NODE_BUDGET
-    got = tree.exists_chunk(L, x, seed, budget, 0, n)
+    got = tree.block_chunk(
+        tree.exists_block, bool, L, x, seed, (budget,), 0, n, width=tree._BEAM_WIDTH
+    )
     assert got.tolist() == (mc.tree_theta_batch(L, x, seed, n) > 0).tolist()
     one = tree_existence_mc(L, x, n, seed, threads=1)
     assert one.estimate == np.count_nonzero(got) / n
     assert tree_existence_mc(L, x, n, seed, threads=2) == one
 
 
+@pytest.mark.parametrize("master", [0, 11, 20260823, 2**64 - 1])
+def test_derive_seed_on_a_uint64_range_matches_the_scalar_calls(master):
+    # block_chunk derives a whole chunk's seeds in one array call
+    for lo, hi in ((0, 5000), (2**64 - 10, 2**64)):
+        got = derive_seed(master, np.arange(lo, hi, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [derive_seed(master, r) for r in range(lo, hi)]
+
+
 def test_theta_batch_thread_and_block_invariance():
     L, x = 8, 0.2
-    (a, b), *_ = tree.replica_blocks(L, x, 0, 10**6)
-    n = 2 * (b - a) + 37
-    assert n % (b - a) != 0
+    step = tree._block_step(L, x)
+    n = 2 * step + 37
+    assert n % step != 0
     one = mc.tree_theta_batch(L, x, SEED, n, threads=1)
     assert np.array_equal(one, mc.tree_theta_batch(L, x, SEED, n, threads=2))
     loop = [sample_theta_tree(TreeParams(L, x, derive_seed(SEED, r))) for r in range(n)]
