@@ -184,7 +184,7 @@ def theta_k_hypercube(land: HypercubeLandscape, k: int) -> float:
     seen from both corners.
 
     Sums n_sigma * m_tau * (L-2k) * (1 - y_tau - x_sigma)^(L-2k-1) over
-    comparable pairs (sigma subset of tau) with x_sigma + y_tau <= 1,
+    comparable pairs (sigma subset of tau) with x_sigma + y_tau < 1,
     where y_tau = 1 - value(tau).
     """
     L = land.dim
@@ -198,7 +198,7 @@ def theta_k_hypercube(land: HypercubeLandscape, k: int) -> float:
     ns = len(xs)
     row_start = np.arange(0, ns * ns, ns)[:, None]
     base = (1.0 - xs)[:, None] - ys[flat - row_start]
-    ok = base >= 0.0
+    ok = base > 0.0  # a tie blocks: base 0 weighs 0, also at exponent 0
     w = np.zeros((ns, ns))
     w.ravel()[flat[ok]] = (L - 2 * k) * base[ok] ** (L - 2 * k - 1)
     return float(n @ w @ m)

@@ -10,7 +10,7 @@ argument alone, 1 by default; no environment variable sets it.
 from __future__ import annotations
 
 import os
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,16 +40,8 @@ def map_replicas(
     # imported here so that `import pathscape` does not load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    bounds = np.linspace(0, n_replicas, threads + 1).astype(int)
-    spans: Sequence[tuple[int, int]] = [
-        (int(bounds[i]), int(bounds[i + 1])) for i in range(threads)
-    ]
+    bounds = np.linspace(0, n_replicas, threads + 1).astype(int).tolist()
     # fork starts every worker at once: never more processes than cores
     with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
-        chunks = list(pool.map(_call_worker, [(worker, a, b) for a, b in spans]))
+        chunks = list(pool.map(worker, bounds[:-1], bounds[1:]))
     return np.concatenate(chunks)
-
-
-def _call_worker(packed):
-    worker, a, b = packed
-    return np.asarray(worker(a, b))

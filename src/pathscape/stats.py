@@ -4,9 +4,10 @@ The two reference laws are the exponential (tree limit) and the product
 of two independent standard exponentials (hypercube limit).  The product
 law's survival function P(E1*E2 > z) = int_0^inf exp(-t - z/t) dt has
 the closed form 2*sqrt(z)*K1(2*sqrt(z)), with K1 the modified Bessel
-function of the second kind; the quadrature stays in the tests as the
-oracle.  K1 is scipy's, imported inside `prodexp_survival`, so scipy is
-loaded only by a process that evaluates the product law.
+function of the second kind, so `prodexp_cdf` is one minus it for z > 0
+and 0 below; the quadrature stays in the tests as the oracle.  K1 is
+scipy's, imported inside `prodexp_cdf`, so scipy is loaded only by a
+process that evaluates the product law.
 """
 
 from __future__ import annotations
@@ -49,36 +50,26 @@ def exponential_law():
     return cdf
 
 
-def prodexp_survival(z):
-    """P(E1*E2 > z) = u*K1(u) with u = 2*sqrt(z), elementwise for z >= 0.
+def prodexp_cdf(z):
+    """CDF of E1*E2 on all reals: 1 - u*K1(u) with u = 2*sqrt(z) for z > 0,
+    0 at and below 0, NaN for NaN.
 
-    k1e(u) = K1(u)*e^u keeps the product finite for large u; the value at
-    z = 0 is exactly 1.  Returns a float for a scalar z.
+    k1e(u) = K1(u)*e^u keeps the product finite for large u.  Returns a
+    float for a scalar z.
     """
     from scipy.special import k1e  # the one scipy use: loaded on first call
 
     z = np.asarray(z, dtype=float)
-    if (z < 0).any():
-        raise ValueError(f"z must be >= 0, got {z.min()}")
-    u = 2.0 * np.sqrt(z)
+    u = 2.0 * np.sqrt(np.maximum(z, 0.0))  # maximum keeps NaN
     with np.errstate(invalid="ignore"):  # 0 * k1e(0) = 0 * inf, replaced below
-        s = np.where(z == 0.0, 1.0, u * k1e(u) * np.exp(-u))
-    return s if s.ndim else float(s)
-
-
-def prodexp_cdf(z):
-    """CDF of the product of two independent standard exponentials."""
-    return 1.0 - prodexp_survival(z)
+        f = np.where(z <= 0.0, 0.0, 1.0 - u * k1e(u) * np.exp(-u))
+    return f if f.ndim else float(f)
 
 
 def product_exponential_law():
-    """CDF of E1*E2 (the hypercube limit law), 0 below 0."""
-
-    def cdf(z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z < 0, 0.0, prodexp_cdf(np.maximum(z, 0.0)))
-
-    return cdf
+    """CDF of E1*E2 (the hypercube limit law): `prodexp_cdf`, looked up
+    when this is called."""
+    return prodexp_cdf
 
 
 def ks_statistic(s: Sample, cdf: Callable) -> float:

@@ -170,10 +170,14 @@ def theta_k_block(seeds: np.ndarray, L: int, x: float, k: int, budget: int) -> n
     """Theta_k per replica seed, each a sequential sum of Python-float
     powers as in theta_k_from_front (numpy's power can differ in the last bit)."""
     values, owner, _ = _walk(seeds, L, x, k, budget)
+    below = values < 1.0  # as in theta_block: a value-1 node opens no path
+    values, owner = values[below], owner[below]
     fronts = np.split(values, np.cumsum(np.bincount(owner, minlength=len(seeds)))[:-1])
     return np.array([theta_k_from_front(front.tolist(), L, k) for front in fronts])
 
 
+# sample_theta_tree and theta_k_tree run one seed; only the tests and
+# perfbench/tracing.py, which wraps both, call them.
 def _one_seed(params: TreeParams) -> np.ndarray:
     return np.array([params.seed & _M64], dtype=np.uint64)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cascade, hypercube, mc, moments, recursion, stats, tree
+from . import cascade, mc, moments, recursion, stats, tree
 from .rng import derive_seed
 
 DEFAULT_SEED = 20260823
@@ -44,20 +44,6 @@ def _within_se(sample_mean, target, stderr, k=4.0):
     return abs(sample_mean - target) <= k * stderr
 
 
-def _oracle_check(criterion, what, cases, fast, oracle):
-    """`fast` against `oracle` on every case; `what` formats the case and
-    mismatch counts into the details."""
-    agree = [fast(case) == oracle(case) for case in cases]
-    bad = agree.count(False)
-    return CheckResult(
-        criterion=criterion,
-        passed=bad == 0,
-        observed={"mismatches": bad, "cases": len(agree)},
-        expected={"mismatches": 0},
-        details=what.format(len(agree), bad),
-    )
-
-
 def _mean_band(criterion, key, label, fmt, values, target, L, x):
     """The sample mean of `values` within 4 standard errors of `target`."""
     s = stats.moment_summary(stats.Sample.from_values(values))
@@ -69,30 +55,6 @@ def _mean_band(criterion, key, label, fmt, values, target, L, x):
         expected={key: target, "band": band},
         details=f"L={L} x={x}: {label}={s.mean:{fmt}} vs {target:{fmt}} (4SE={band:{fmt}})",
     )
-
-
-# --- criteria 1 & 2 --------------------------------------------------------
-
-def check_hypercube_oracle(seed: int = DEFAULT_SEED, scale: float = 1.0, threads=None):
-    lands = (
-        hypercube.generate_hypercube(L, 0.3 * (r % 3), seed, replica=r)
-        for L in range(2, 8)
-        for r in range(_n(100, scale))
-    )
-    what = "{} landscapes L=2..7, {} DP/oracle mismatches"
-    fast, oracle = hypercube.count_open_paths, hypercube.enumerate_paths_oracle
-    return [_oracle_check("1-hypercube-oracle-equivalence", what, lands, fast, oracle)]
-
-
-def check_tree_oracle(seed: int = DEFAULT_SEED, scale: float = 1.0, threads=None):
-    realizations = (
-        tree.TreeParams(L, 0.25 * (r % 4) / 3.0, derive_seed(seed, r))
-        for L in range(2, 8)
-        for r in range(_n(100, scale))
-    )
-    what = "{} realizations L=2..7, {} DFS/enumeration mismatches"
-    fast, oracle = tree.sample_theta_tree, tree.enumerate_tree_paths_oracle
-    return [_oracle_check("2-tree-oracle-equivalence", what, realizations, fast, oracle)]
 
 
 # --- criteria 3 & 4 --------------------------------------------------------

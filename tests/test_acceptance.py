@@ -12,6 +12,8 @@ import pytest
 
 from pathscape import cli, verify
 
+import oracle_criteria
+
 SEED = verify.DEFAULT_SEED
 # the Monte Carlo checks split their replicas into two chunks; records do
 # not depend on the thread count, and the pool never exceeds the cores
@@ -43,11 +45,11 @@ def tree_moment_results():
 
 
 def test_criterion_01_hypercube_oracle():
-    _assert_all(verify.check_hypercube_oracle(seed=SEED))
+    _assert_all(oracle_criteria.check_hypercube_oracle(seed=SEED))
 
 
 def test_criterion_02_tree_oracle():
-    _assert_all(verify.check_tree_oracle(seed=SEED))
+    _assert_all(oracle_criteria.check_tree_oracle(seed=SEED))
 
 
 def test_criterion_03_first_moments(tree_moment_results):

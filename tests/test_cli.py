@@ -334,8 +334,8 @@ def test_map_replicas_caps_pool_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def map(self, fn, *its):
+            return [fn(*args) for args in zip(*its)]
 
     spans = []
 

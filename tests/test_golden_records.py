@@ -13,7 +13,9 @@ from dataclasses import asdict
 
 import pytest
 
-from pathscape import cli, verify
+from pathscape import cli
+
+import oracle_criteria
 
 S = ["--seed", "11"]
 
@@ -120,8 +122,8 @@ def test_golden_record(capsys, name):
     assert _digest(capsys, name) == DIGESTS[name]
 
 
-# Criteria 1 and 2 run in no battery: the sha256 of their results, as
-# `asdict` with sorted keys, at seed 11 and scale 0.05.
+# Criteria 1 and 2 run in no battery (`oracle_criteria`): the sha256 of
+# their results, as `asdict` with sorted keys, at seed 11 and scale 0.05.
 ORACLE_DIGESTS = {
     "check_hypercube_oracle": "c1d719cad0fd992814194a5d99c538011f3aa24639b2b5511295bb48165a911c",
     "check_tree_oracle": "2d37270d710d39c0298a99720bcd4457c37c4c7a85e2e258532755e083aa045c",
@@ -130,6 +132,6 @@ ORACLE_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(ORACLE_DIGESTS))
 def test_golden_oracle_check(name):
-    results = getattr(verify, name)(seed=11, scale=0.05)
+    results = getattr(oracle_criteria, name)(seed=11, scale=0.05)
     dump = json.dumps([asdict(r) for r in results], sort_keys=True)
     assert hashlib.sha256(dump.encode()).hexdigest() == ORACLE_DIGESTS[name]

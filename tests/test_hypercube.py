@@ -230,19 +230,31 @@ def _theta_k_path_oracle(land: HypercubeLandscape, k: int) -> float:
         if any(b <= a for a, b in zip(suffix_vals[1:], suffix_vals)):
             continue
         gap = tau_val - sigma_val
-        if gap < 0:
+        if gap <= 0:  # a tie blocks the middle, also when it has no step
             continue
         total += gap**n_mid / math.factorial(n_mid)
     return total
 
 
-@pytest.mark.parametrize("L,k", [(5, 1), (6, 1), (6, 2), (7, 2)])
+@pytest.mark.parametrize("L,k", [(1, 0), (5, 1), (6, 1), (6, 2), (7, 2)])
 def test_theta_k_against_path_enumeration(L, k):
-    for r in range(5):
-        land = generate_hypercube(L, 0.15 * r, SEED, replica=r)
+    # x = 1 ties the origin with the top, the one middle of L = 1, k = 0
+    for r, x in enumerate([0.15 * i for i in range(5)] + [1.0]):
+        land = generate_hypercube(L, x, SEED, replica=r)
         expect = _theta_k_path_oracle(land, k)
         got = theta_k_hypercube(land, k)
         assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_theta_k_is_zero_at_x_one(L):
+    # every path starts at value 1 and ends on 1: a tie, so none is open,
+    # and Theta_k must agree with Theta = 0 for every valid k
+    ks = range((L + 1) // 2)
+    for r in range(5):
+        land = generate_hypercube(L, 1.0, SEED, replica=r)
+        assert count_open_paths(land) == 0
+        assert [theta_k_hypercube(land, k) for k in ks] == [0.0] * len(ks)
 
 
 def test_theta_k_tower_property():

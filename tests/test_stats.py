@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import kv
+from scipy.special import k1e, kv
 
+from pathscape import stats
 from pathscape.rng import philox_stream
 from pathscape.stats import (
     Sample,
@@ -14,7 +15,6 @@ from pathscape.stats import (
     ks_statistic,
     moment_summary,
     prodexp_cdf,
-    prodexp_survival,
     product_exponential_law,
 )
 
@@ -30,13 +30,25 @@ def test_sample_validation():
 
 
 def test_prodexp_against_bessel_closed_form():
-    # survival(z) = 2 sqrt(z) K1(2 sqrt(z)); pins the quadrature to 1e-8
+    # cdf(z) = 1 - 2 sqrt(z) K1(2 sqrt(z)); pins the closed form to 1e-8
     for z in (0.1, 1.0, 5.0):
-        expect = 2.0 * math.sqrt(z) * float(kv(1, 2.0 * math.sqrt(z)))
-        assert prodexp_survival(z) == pytest.approx(expect, abs=1e-8)
-    assert prodexp_survival(0.0) == 1.0
-    with pytest.raises(ValueError):
-        prodexp_survival(-1.0)
+        expect = 1.0 - 2.0 * math.sqrt(z) * float(kv(1, 2.0 * math.sqrt(z)))
+        assert prodexp_cdf(z) == pytest.approx(expect, abs=1e-8)
+    assert prodexp_cdf(0.0) == 0.0
+    assert prodexp_cdf(-1.0) == 0.0
+
+
+def test_prodexp_cdf_on_all_reals():
+    # 0 at and below 0, NaN stays NaN, and above 0 exactly the bits of
+    # 1 - u k1e(u) e^-u with u = 2 sqrt(z), which the pinned records hold
+    zs = np.array([-math.inf, -1.0, -1e-300, -0.0, 0.0, math.nan, 5e-324, 0.3, 7.0, 800.0])
+    got = prodexp_cdf(zs)
+    assert got[:5].tolist() == [0.0] * 5
+    assert math.isnan(got[5])
+    u = 2.0 * np.sqrt(zs[6:])
+    assert np.array_equal(got[6:], 1.0 - u * k1e(u) * np.exp(-u))
+    assert math.isnan(prodexp_cdf(math.nan))
+    assert isinstance(prodexp_cdf(0.3), float)
 
 
 def _survival_by_quadrature(z: float) -> float:
@@ -53,22 +65,26 @@ def _survival_by_quadrature(z: float) -> float:
 
 def test_prodexp_matches_quadrature_oracle():
     zs = np.concatenate([[0.0], np.logspace(-12, 2.5, 200)])  # up to 316
-    got = prodexp_survival(zs)
+    got = prodexp_cdf(zs)
     assert got.shape == zs.shape
-    assert got[0] == 1.0
+    assert got[0] == 0.0
     expect = np.array([_survival_by_quadrature(z) for z in zs[1:]])
-    assert np.abs(got[1:] - expect).max() <= 1e-8
-    # the array call agrees with scalar calls, and the CDF is its complement
-    assert [prodexp_survival(z) for z in zs[::20]] == got[::20].tolist()
-    assert np.array_equal(prodexp_cdf(zs), 1.0 - got)
-    with pytest.raises(ValueError):
-        prodexp_survival(np.array([1.0, -1e-300]))
+    assert np.abs((1.0 - got[1:]) - expect).max() <= 1e-8
+    # the array call agrees with scalar calls
+    assert [prodexp_cdf(z) for z in zs[::20]] == got[::20].tolist()
 
 
 def test_product_law_cdf_is_zero_below_zero():
     cdf = product_exponential_law()
     z = np.array([-1.0, 0.0, 1.0])
     assert cdf(z).tolist() == [0.0, 0.0, prodexp_cdf(1.0)]
+
+
+def test_product_law_is_the_cdf_looked_up_at_call_time(monkeypatch):
+    # a wrapper set on stats.prodexp_cdf (the benchmark tracer's) is the law
+    assert product_exponential_law() is prodexp_cdf
+    monkeypatch.setattr(stats, "prodexp_cdf", abs)
+    assert product_exponential_law() is abs
 
 
 def test_prodexp_cdf_monotone():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathscape import mc, moments, stats, tree
-from pathscape.rng import derive_seed
+from pathscape.rng import derive_seed, splitmix64, uniform_from_hash
 from pathscape.tree import (
     BudgetExceededError,
     TreeParams,
@@ -88,6 +88,43 @@ def test_theta_k_from_front_hand_values():
     got = theta_k_from_front([0.22, 0.66, 0.95], L=4, k=2)
     assert got == pytest.approx(2.34, abs=1e-10)
     assert theta_k_from_front([], L=5, k=2) == 0.0
+
+
+def _theta_k_by_enumeration(L: int, x: float, seed: int, k: int) -> float:
+    """Independent reference for theta_k_tree: replay the open level-k
+    prefixes one node at a time on Python ints, and sum (L-k)(1-v)^(L-k-1)
+    over their end values v, skipping v = 1 (a tie with the leaves)."""
+    front = [(x, splitmix64(seed))]
+    for level in range(k):
+        front = [
+            (uniform_from_hash(h), h)
+            for v, d in front
+            for h in (tree._child_hash(d, c) for c in range(L - level))
+            if uniform_from_hash(h) > v
+        ]
+    return sum((L - k) * (1.0 - v) ** (L - k - 1) for v, _ in front if v != 1.0)
+
+
+@pytest.mark.parametrize("L", range(1, 8))
+def test_theta_k_against_prefix_enumeration(L):
+    for x in (0.0, 0.2, 0.5, 1.0):
+        for r in range(6):
+            seed = derive_seed(SEED, r)
+            for k in range(L):
+                expect = _theta_k_by_enumeration(L, x, seed, k)
+                got = theta_k_tree(TreeParams(L, x, seed), k)
+                assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_theta_k_is_zero_at_x_one(L):
+    # the root value 1 ties the leaves' value: no path is open, and every
+    # Theta_k must agree with Theta = 0, also Theta_0 at L = 1
+    for r in range(5):
+        params = TreeParams(L, 1.0, derive_seed(SEED, r))
+        assert sample_theta_tree(params) == 0
+        assert [theta_k_tree(params, k) for k in range(L)] == [0.0] * L
+    assert mc.tree_theta_k_batch(L, 1.0, L - 1, SEED, 5).tolist() == [0.0] * 5
 
 
 def test_theta_k_martingale_mean():
