@@ -46,7 +46,7 @@ class CascadeParams:
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
 
 
 @dataclass(frozen=True)

@@ -425,8 +425,6 @@ def run(argv=None) -> int:
         # streams key on the seed's 64 bits: a wider seed would alias another
         if not 0 <= args.seed < 2**64:
             raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
-        if getattr(args, "samples", 1) < 1:
-            raise ValueError(f"--samples must be >= 1, got {args.samples}")
         if args.group == "verify":
             code = _cmd_verify(args, records)
         else:

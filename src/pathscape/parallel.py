@@ -29,18 +29,21 @@ def resolve_threads(threads: int | None) -> int:
 
 def map_replicas(
     worker: Callable[[int, int], np.ndarray],
-    n_replicas: int,
+    samples: int,
     threads: int | None = None,
 ) -> np.ndarray:
-    """Run worker(start, stop) over a partition of range(n_replicas) and
-    concatenate the chunk results in index order."""
+    """Run worker(start, stop) over a partition of range(samples) and
+    concatenate the chunk results in index order.  Every Monte Carlo batch
+    passes through here, so here a sample count below 1 raises ValueError."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     threads = resolve_threads(threads)
-    if threads <= 1 or n_replicas < 2 * threads:
-        return np.asarray(worker(0, n_replicas))
+    if threads <= 1 or samples < 2 * threads:
+        return np.asarray(worker(0, samples))
     # imported here so that `import pathscape` does not load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    bounds = np.linspace(0, n_replicas, threads + 1).astype(int).tolist()
+    bounds = np.linspace(0, samples, threads + 1).astype(int).tolist()
     # fork starts every worker at once: never more processes than cores
     with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
         chunks = list(pool.map(worker, bounds[:-1], bounds[1:]))

@@ -51,8 +51,8 @@ def exponential_law():
 
 
 def prodexp_cdf(z):
-    """CDF of E1*E2 on all reals: 1 - u*K1(u) with u = 2*sqrt(z) for z > 0,
-    0 at and below 0, NaN for NaN.
+    """CDF of E1*E2 on all reals: 1 - u*K1(u) with u = 2*sqrt(z) for finite
+    z > 0, 0 at and below 0, 1 at +inf, NaN for NaN.
 
     k1e(u) = K1(u)*e^u keeps the product finite for large u.  Returns a
     float for a scalar z.
@@ -61,8 +61,8 @@ def prodexp_cdf(z):
 
     z = np.asarray(z, dtype=float)
     u = 2.0 * np.sqrt(np.maximum(z, 0.0))  # maximum keeps NaN
-    with np.errstate(invalid="ignore"):  # 0 * k1e(0) = 0 * inf, replaced below
-        f = np.where(z <= 0.0, 0.0, 1.0 - u * k1e(u) * np.exp(-u))
+    with np.errstate(invalid="ignore"):  # 0 * k1e(0), inf * k1e(inf): NaN, replaced
+        f = np.where(z <= 0.0, 0.0, np.where(z == np.inf, 1.0, 1.0 - u * k1e(u) * np.exp(-u)))
     return f if f.ndim else float(f)
 
 

@@ -167,13 +167,15 @@ def exists_block(seeds: np.ndarray, L: int, x: float, budget: int) -> np.ndarray
 
 
 def theta_k_block(seeds: np.ndarray, L: int, x: float, k: int, budget: int) -> np.ndarray:
-    """Theta_k per replica seed, each a sequential sum of Python-float
-    powers as in theta_k_from_front (numpy's power can differ in the last bit)."""
+    """Theta_k per replica seed: the sum over its open level-k nodes of
+    (L-k)(1 - v)^(L-k-1).  The powers are Python floats (numpy's power can
+    differ in the last bit); bincount adds them in C in index order, and each
+    replica's nodes are contiguous in BFS order, so every sum is the plain
+    left-to-right one on any CPython."""
     values, owner, _ = _walk(seeds, L, x, k, budget)
     below = values < 1.0  # as in theta_block: a value-1 node opens no path
-    values, owner = values[below], owner[below]
-    fronts = np.split(values, np.cumsum(np.bincount(owner, minlength=len(seeds)))[:-1])
-    return np.array([theta_k_from_front(front.tolist(), L, k) for front in fronts])
+    terms = [(L - k) * (1.0 - v) ** (L - k - 1) for v in values[below].tolist()]
+    return np.bincount(owner[below], weights=terms, minlength=len(seeds))
 
 
 # sample_theta_tree and theta_k_tree run one seed; only the tests and
@@ -186,12 +188,6 @@ def sample_theta_tree(params: TreeParams) -> int:
     """Exact Theta for the seeded realization."""
     seeds = _one_seed(params)
     return int(theta_block(seeds, params.dim, params.root_value, params.node_budget)[0])
-
-
-def theta_k_from_front(front_values, L: int, k: int) -> float:
-    """Conditional expectation of Theta given an explicit alive front:
-    sum over open level-k nodes of (L-k)(1 - value)^(L-k-1)."""
-    return float(sum((L - k) * (1.0 - v) ** (L - k - 1) for v in front_values))
 
 
 def theta_k_tree(params: TreeParams, k: int) -> float:
@@ -222,8 +218,6 @@ def tree_existence_mc(
     A realization whose deciding walk (`exists_block`) exhausts the budget
     raises BudgetExceededError; none is left out of the estimate.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     worker = partial(block_chunk, exists_block, bool, L, x, seed, (budget,), width=_BEAM_WIDTH)
     hits = int(np.count_nonzero(map_replicas(worker, samples, threads)))
     p = hits / samples

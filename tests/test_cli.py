@@ -8,12 +8,13 @@ import os
 import re
 import shlex
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pathscape import cli, hypercube, mc, moments, parallel, tree, verify
+from pathscape import cascade, cli, hypercube, mc, moments, parallel, tree, verify
 from pathscape.parallel import resolve_threads
 
 
@@ -122,6 +123,7 @@ def test_cascade_all_over_budget_exits_3(capsys, action):
     [
         (["moments", "first", "--x", "0.1"], "--dim"),
         (["moments", "limits", "--X-scaled", "1"], "--dim"),
+        (["moments", "limits", "--dim", "50"], "--X-scaled or --logscaled"),
         (["recursion", "delta-check", "--k", "-1"], "--k must be"),
         (["hypercube", "count", "--x", "0.1"], "--dim"),
         (["hypercube", "exists", "--dim", "6", "--samples", "0"], "--samples"),
@@ -161,16 +163,16 @@ def test_cascade_all_over_budget_exits_3(capsys, action):
         (["moments", "bn", "--n", "0"], "--n must be"),
         (["moments", "pair-tree", "--dim", "1"], "--dim must be >= 2"),
     ],
-    ids=["no-dim", "limits-no-dim", "negative-k", "missing-required", "zero-samples",
-         "tree-zero-samples", "zmax-below-zmin", "gf-at-above-grid", "pexist-at-below-grid",
-         "cascade-negative-k", "ks-zero-delta", "tree-zero-dim", "exists-x-above-one",
-         "thetak-2k-ge-dim", "fk-negative-k", "verify-zero-scale", "verify-inf-scale",
-         "second-x-above-one", "cond-var-x-above-one", "pair-tree-x-below-zero",
-         "pair-cube-x-above-one", "gf-nan-mu", "gf-inf-mu", "fk-inf-zmax",
-         "delta-check-nan-zmax", "gf-zero-levels", "pexist-small-grid",
-         "x-scaled-above-dim", "logscaled-above-one", "x-scaled-zero-dim",
-         "logscaled-zero-dim", "zero-budget", "zero-threads", "a-coeff-q-above-dim",
-         "pair-cube-p-plus-q-above-dim", "bn-zero-n", "pair-tree-dim-one"],
+    ids=["no-dim", "limits-no-dim", "limits-no-regime", "negative-k", "missing-required",
+         "zero-samples", "tree-zero-samples", "zmax-below-zmin", "gf-at-above-grid",
+         "pexist-at-below-grid", "cascade-negative-k", "ks-zero-delta", "tree-zero-dim",
+         "exists-x-above-one", "thetak-2k-ge-dim", "fk-negative-k", "verify-zero-scale",
+         "verify-inf-scale", "second-x-above-one", "cond-var-x-above-one",
+         "pair-tree-x-below-zero", "pair-cube-x-above-one", "gf-nan-mu", "gf-inf-mu",
+         "fk-inf-zmax", "delta-check-nan-zmax", "gf-zero-levels", "pexist-small-grid",
+         "x-scaled-above-dim", "logscaled-above-one", "x-scaled-zero-dim", "logscaled-zero-dim",
+         "zero-budget", "zero-threads", "a-coeff-q-above-dim", "pair-cube-p-plus-q-above-dim",
+         "bn-zero-n", "pair-tree-dim-one"],
 )
 def test_bad_invocation_exits_2_with_json_error(capsys, argv, names):
     code, records, err = _run(capsys, *argv)
@@ -261,6 +263,23 @@ def test_allocation_failure_exits_2(capsys, monkeypatch):
     assert code == 2
     assert records == []
     assert json.loads(err.splitlines()[-1])["error"] == "parameters"
+
+
+def test_hypercube_exists_one_sample_reports_the_landscape(capsys):
+    for seed in range(4):
+        code, records, _ = _run(
+            capsys, "hypercube", "exists", "--dim", "8", "--x", "0.3", "--seed", str(seed)
+        )
+        assert code == 0
+        land = hypercube.generate_hypercube(8, 0.3, seed)
+        assert records[0]["stats"] == {"exists": hypercube.path_exists(land)}
+
+
+def test_moments_limits_x_scaled(capsys):
+    code, records, _ = _run(capsys, "moments", "limits", "--dim", "50", "--X-scaled", "1")
+    assert code == 0
+    expect = moments.scaled_limits(50, 1.0, moments.REGIME_X_OVER_L)
+    assert records[0]["stats"] == asdict(expect)
 
 
 def test_hypercube_exists_independent_of_threads(capsys):
@@ -354,6 +373,23 @@ def test_map_replicas_caps_pool_at_cpu_count(monkeypatch):
         assert out.tolist() == list(range(40))
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_every_batch_rejects_samples_below_one(samples):
+    # parallel.map_replicas owns the rule; CascadeParams checks its own field
+    batches = [
+        lambda: mc.hypercube_theta_batch(4, 0.1, 1, samples),
+        lambda: mc.hypercube_theta_k_batch(4, 0.1, 1, 1, samples),
+        lambda: mc.hypercube_exists_batch(4, 0.1, 1, samples),
+        lambda: mc.tree_theta_batch(6, 0.1, 1, samples),
+        lambda: mc.tree_theta_k_batch(6, 0.1, 2, 1, samples),
+        lambda: tree.tree_existence_mc(6, 0.1, samples, 1),
+        lambda: cascade.sample_cascade_batch(cascade.CascadeParams(2, 1e-3, 1, samples)),
+    ]
+    for batch in batches:
+        with pytest.raises(ValueError, match=f"^samples must be >= 1, got {samples}$"):
+            batch()
+
+
 def test_deterministic_rerun_is_byte_identical(capsys):
     argv = ["hypercube", "count", "--dim", "6", "--x", "0.2", "--seed", "11"]
     cli.run(argv)
@@ -394,6 +430,15 @@ def test_csv_mirror(capsys, tmp_path):
     assert rows[0]["command"] == "moments.a-coeff"
     assert float(rows[0]["stats.a"]) == records[0]["stats"]["a"]
     assert "wall_time_s" in rows[0]
+
+
+def test_csv_flattens_list_stats_to_json(capsys, tmp_path):
+    path = tmp_path / "out.csv"
+    code, _, _ = _run(capsys, "verify", "moments", "--scale", "0.01", "--csv", str(path))
+    assert code == 0
+    with open(path, newline="") as fh:
+        cells = [row["stats.observed.B(1..5)"] for row in csv.DictReader(fh)]
+    assert [c for c in cells if c] == ["[1, 1, 3, 13, 71]"]
 
 
 @pytest.mark.parametrize("target", ["directory", "missing-directory"])

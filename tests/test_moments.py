@@ -55,6 +55,16 @@ def test_expected_paths_at_x_one_is_zero_like_both_samplers(L):
     assert mc.hypercube_theta_batch(L, 1.0, 11, 20).tolist() == [0] * 20
 
 
+@pytest.mark.parametrize("L", [2, 5, 9])
+def test_second_moments_and_pair_probabilities_at_x_one_are_zero(L):
+    # no path is open at x = 1, so no pair is either
+    assert second_moment_tree(L, 1.0) == 0.0
+    assert second_moment_hypercube(L, 1.0) == 0.0
+    assert pair_open_prob_hypercube(L, 0, 0, 1.0) == 0.0
+    if L >= 3:
+        assert cond_var_tree(L, 1.0, 1) == 0.0
+
+
 @given(L=st.integers(2, 30), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_a_coeff_matches_exact_rational(L, data):

@@ -39,15 +39,19 @@ def test_prodexp_against_bessel_closed_form():
 
 
 def test_prodexp_cdf_on_all_reals():
-    # 0 at and below 0, NaN stays NaN, and above 0 exactly the bits of
-    # 1 - u k1e(u) e^-u with u = 2 sqrt(z), which the pinned records hold
-    zs = np.array([-math.inf, -1.0, -1e-300, -0.0, 0.0, math.nan, 5e-324, 0.3, 7.0, 800.0])
+    # 0 at and below 0, NaN stays NaN, 1 at +inf, and for finite z > 0 exactly
+    # the bits of 1 - u k1e(u) e^-u with u = 2 sqrt(z), which the pinned records hold
+    zs = np.array(
+        [-math.inf, -1.0, -1e-300, -0.0, 0.0, math.nan, math.inf, 5e-324, 0.3, 7.0, 800.0]
+    )
     got = prodexp_cdf(zs)
     assert got[:5].tolist() == [0.0] * 5
     assert math.isnan(got[5])
-    u = 2.0 * np.sqrt(zs[6:])
-    assert np.array_equal(got[6:], 1.0 - u * k1e(u) * np.exp(-u))
+    assert got[6] == 1.0
+    u = 2.0 * np.sqrt(zs[7:])
+    assert np.array_equal(got[7:], 1.0 - u * k1e(u) * np.exp(-u))
     assert math.isnan(prodexp_cdf(math.nan))
+    assert prodexp_cdf(math.inf) == 1.0
     assert isinstance(prodexp_cdf(0.3), float)
 
 
