@@ -3,13 +3,14 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathscape import mc, moments, stats
+from pathscape import hypercube, mc, moments, stats
 from pathscape.hypercube import (
     HypercubeLandscape,
     PathCountOverflowError,
@@ -375,3 +376,48 @@ def test_overflow_guard_starts_at_level_21():
             count_open_paths(_fully_open(21))
     finally:
         _level_tables.cache_clear()  # 80 MB of tables at L = 20, 176 MB at L = 21
+
+
+@pytest.mark.parametrize("entries", [1, 5, 2**30])
+def test_row_blocks_leave_results_unchanged(monkeypatch, entries):
+    # one row per block, uneven blocks (5 rows, then the rest, at the top
+    # level of L = 6..9), and a whole level per block
+    lands = []
+    for L in range(1, 11):
+        raw = generate_hypercube(L, 0.1, SEED, replica=L)
+        lands += [raw, _tied(raw)]
+
+    def level_counts(land):
+        f, L = land.fitness, land.dim
+        return [(_counts_from_origin(f, L, k), _counts_to_top(f, L, k)) for k in range(L + 1)]
+
+    expect = [level_counts(land) for land in lands]
+    monkeypatch.setattr(hypercube, "_GATHER_ENTRIES", entries)
+    for land, levels in zip(lands, expect):
+        for (n, m), (n_ref, m_ref) in zip(level_counts(land), levels, strict=True):
+            assert n.dtype == m.dtype == np.int64
+            assert np.array_equal(n, n_ref)
+            assert np.array_equal(m, m_ref)
+        assert path_exists(land) == (count_open_paths(land) > 0)
+
+
+def test_level_dp_working_set_is_bounded():
+    # beyond the cached tables the DP holds a few length-2^L arrays (the
+    # level-ordered values, the reflected cube) and one block of rows
+    L = 18
+    land = _fully_open(L)
+    bound = 3 * 8 * 2**L + 24 * hypercube._GATHER_ENTRIES
+    calls = (
+        lambda: count_open_paths(land),
+        lambda: path_exists(land),
+        lambda: _counts_to_top(land.fitness, L, L // 2),
+    )
+    for call in calls:
+        call()  # builds the tables outside the measurement
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
