@@ -11,7 +11,7 @@ per level k: L * 2^(L-1) * 8 bytes in all, 80 MiB at L = 20.  Each level
 is walked in blocks of whole table rows of at most _GATHER_ENTRIES = 2^16
 entries (one row when a row is longer), so the working memory is the
 tables, the level-ordered values and one such block: a first count in a
-fresh process peaks at 145 MB RSS at L = 20 and 2.06 GB at L = 24.
+fresh process peaks at 147 MB RSS at L = 20 and 2.07 GB at L = 24.
 Counts to the top corner run the same DP on the reflected cube, and
 existence runs it on booleans.
 
@@ -118,47 +118,38 @@ def _level_masks(L: int, k: int) -> np.ndarray:
     return order[off[k] : off[k + 1]]
 
 
-def _open_edges(f: np.ndarray, L: int, k_max: int):
-    """Yield, for k = 1..k_max, the level-k edges as blocks of table rows.
+def _level_dp(f: np.ndarray, L: int, k_max: int, dtype) -> np.ndarray:
+    """The level DP from 0...0 to the level-k_max nodes, in dtype.
 
-    Each level is an iterator of (pr, open_edge) pairs: pr is a run of
-    whole rows of the predecessor table of level k, at most
-    _GATHER_ENTRIES entries or one row, and open_edge is the bool array
-    of its shape marking the open edges.  The edge from a predecessor
-    into a level-k node is open when the value strictly increases along
-    it; ties block.  Consume each level before the next one.
+    In int64 it gives the open-prefix counts n_sigma; in bool, where sum
+    is logical or, whether an open prefix reaches each node.  The edge
+    from a predecessor into a level-k node is open when the value strictly
+    increases along it; ties block.  Each level is walked in blocks of
+    whole rows of its predecessor table, at most _GATHER_ENTRIES entries
+    or one row, and the blocks' column sums are added.
     """
     order, off, preds = _level_tables(L)
     fl = f[order[: off[k_max + 1]]]
+    n, here = np.ones(1, dtype=dtype), fl[:1]
     for k in range(1, k_max + 1):
-        pr, below, here = preds[k], fl[off[k - 1] : off[k]], fl[off[k] : off[k + 1]]
-        if pr.size <= _GATHER_ENTRIES:
-            yield ((pr, below[pr] < here),)
-        else:
-            yield _row_blocks(pr, below, here, max(1, _GATHER_ENTRIES // pr.shape[1]))
-
-
-def _row_blocks(pr: np.ndarray, below: np.ndarray, here: np.ndarray, step: int):
-    """One level's (rows, open_edge) blocks, step table rows at a time."""
-    for r in range(0, len(pr), step):
-        rows = pr[r : r + step]
-        yield rows, below[rows] < here
+        if k >= _GUARD_FROM_LEVEL and n.max() > _I64_MAX // k:
+            raise PathCountOverflowError(f"path count overflow at level {k}")
+        below, here = here, fl[off[k] : off[k + 1]]
+        step = max(1, _GATHER_ENTRIES // len(here))
+        nxt = None
+        for r in range(0, k, step):
+            rows = preds[k][r : r + step]
+            c = n[rows]
+            c *= below[rows] < here
+            s = c.sum(axis=0, dtype=dtype)
+            nxt = s if nxt is None else np.add(nxt, s, out=nxt)  # exact: int64 or bool
+        n = nxt
+    return n
 
 
 def _counts_from_origin(f: np.ndarray, L: int, k_max: int) -> np.ndarray:
     """Open-prefix counts n_sigma of the level-k_max nodes."""
-    n = np.ones(1, dtype=np.int64)
-    for k, blocks in enumerate(_open_edges(f, L, k_max), start=1):
-        if k >= _GUARD_FROM_LEVEL and n.max() > _I64_MAX // k:
-            raise PathCountOverflowError(f"path count overflow at level {k}")
-        nxt = None
-        for pr, open_edge in blocks:
-            c = n[pr]
-            c *= open_edge
-            s = c.sum(axis=0)
-            nxt = s if nxt is None else np.add(nxt, s, out=nxt)  # exact in int64
-        n = nxt
-    return n
+    return _level_dp(f, L, k_max, np.int64)
 
 
 def _counts_to_top(f: np.ndarray, L: int, k: int) -> np.ndarray:
@@ -180,16 +171,7 @@ def count_open_paths(land: HypercubeLandscape) -> int:
 
 def path_exists(land: HypercubeLandscape) -> bool:
     """True iff an open path exists: the DP on booleans, which cannot overflow."""
-    reach = np.ones(1, dtype=bool)
-    for blocks in _open_edges(land.fitness, land.dim, land.dim):
-        nxt = None
-        for pr, open_edge in blocks:
-            r = (open_edge & reach[pr]).any(axis=0)
-            nxt = r if nxt is None else np.logical_or(nxt, r, out=nxt)
-        reach = nxt
-        if not reach.any():
-            return False
-    return True
+    return bool(_level_dp(land.fitness, land.dim, land.dim, bool)[0])
 
 
 @lru_cache(maxsize=8)
