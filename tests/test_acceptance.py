@@ -20,8 +20,11 @@ SEED = verify.DEFAULT_SEED
 THREADS = 2
 
 # sha256 of a check's results, as `asdict` with sorted keys, at SEED and
-# full strength: the records of batteries thm1, thm2 and thm3 stay bit-exact
+# full strength: the records of batteries thm1, thm2 and thm3 and of
+# criteria 5 and 6 in battery moments stay bit-exact
 RECORD_DIGESTS = {
+    "check_closed_form_limits": "64d764758249a763e99a9073f2309abd5b59c680d9dcd6e801cc6902bb403eab",
+    "check_a_coeff_facts": "e0d2e5e91a9f234b0261feeb7a7c43ca27b5a520152858714a30d3fec70f1888",
     "check_tree_gf_limit": "02923e1a39ce732437008d4be3e3b49c0f6a31d7a988c17c82a7e51c54d3a918",
     "check_existence": "9449f20b82408670a4a4c77786dc2c9165609901d1121d4332e5d90c90117e1e",
     "check_hypercube_limit_law": "e97e8767eef8321065c752e2073e0434484495a160aed82b38c26d31370fb925",
@@ -62,11 +65,12 @@ def test_criterion_04_tree_second_moment(tree_moment_results):
 
 
 def test_criterion_05_closed_form_limits():
-    _assert_all(verify.check_closed_form_limits(seed=SEED))
+    results = verify.check_closed_form_limits(seed=SEED)
+    _assert_all(results, RECORD_DIGESTS["check_closed_form_limits"])
 
 
 def test_criterion_06_a_coefficient_facts():
-    _assert_all(verify.check_a_coeff_facts(seed=SEED))
+    _assert_all(verify.check_a_coeff_facts(seed=SEED), RECORD_DIGESTS["check_a_coeff_facts"])
 
 
 def test_criterion_07_indecomposable_pairs():

@@ -163,6 +163,15 @@ def test_limits_at_large_L():
         assert cond_var_tree(L, 0.0, k) / L**2 == pytest.approx(2.0**-k, abs=1e-3)
 
 
+def test_large_L_moments_are_pinned_bit_for_bit():
+    L = 10**6
+    table = hashlib.sha256(moments._log_a_all(L).tobytes()).hexdigest()
+    assert table == "f46d751d686f27cc8fb0ea6f7af01c47531fe24a06aa959a43a4b820442688d7"
+    assert second_moment_tree(L, 1e-6).hex() == "0x1.f82a169509842p+37"
+    assert var_star_tree(L).hex() == "0x1.e84800000862ap+19"
+    assert cond_var_tree(L, 0.0, 3).hex() == "0x1.d1aa5cc8c07f6p+36"
+
+
 def test_scaled_limits_validation():
     with pytest.raises(ValueError):
         scaled_limits(10**6, 0.0, "bogus")
