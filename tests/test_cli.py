@@ -156,6 +156,8 @@ def test_cascade_all_over_budget_exits_3(capsys, action):
         (["hypercube", "count", "--dim", "5", "--logscaled", "10"], "x from --logscaled"),
         (["tree", "sample", "--dim", "0", "--X-scaled", "1"], "--dim must be"),
         (["hypercube", "count", "--dim", "0", "--logscaled", "1"], "--dim must be"),
+        (["moments", "limits", "--dim", "1000", "--X-scaled", "-800"], "x from --X-scaled must be"),
+        (["moments", "limits", "--dim", "1000", "--logscaled", "-800"], "x from --logscaled must be"),
         (["tree", "sample", "--dim", "5", "--budget", "0"], "--budget must be"),
         (["hypercube", "count", "--dim", "3", "--threads", "0"], "--threads must be"),
         (["moments", "a-coeff", "--dim", "5", "--q", "9"], "--q must be"),
@@ -171,6 +173,7 @@ def test_cascade_all_over_budget_exits_3(capsys, action):
          "pair-tree-x-below-zero", "pair-cube-x-above-one", "gf-nan-mu", "gf-inf-mu",
          "fk-inf-zmax", "delta-check-nan-zmax", "gf-zero-levels", "pexist-small-grid",
          "x-scaled-above-dim", "logscaled-above-one", "x-scaled-zero-dim", "logscaled-zero-dim",
+         "limits-x-scaled-overflow", "limits-logscaled-overflow",
          "zero-budget", "zero-threads", "a-coeff-q-above-dim", "pair-cube-p-plus-q-above-dim",
          "bn-zero-n", "pair-tree-dim-one"],
 )

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import operator
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -172,11 +173,42 @@ def test_large_L_moments_are_pinned_bit_for_bit():
     assert cond_var_tree(L, 0.0, 3).hex() == "0x1.d1aa5cc8c07f6p+36"
 
 
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_L_moments_hold_one_scratch_array():
+    # beyond the cached ln a(L, q) table, a call holds one array of L - 1 floats
+    L = 10**6
+    row = 8 * L
+    moments._log_a_all.cache_clear()
+    try:
+        assert _traced_peak(lambda: var_star_tree(L)) <= 2.5 * row  # table included
+        for call in (
+            lambda: var_star_tree(L),
+            lambda: cond_var_tree(L, 0.0, 3),
+            lambda: second_moment_tree(L, 1e-6),
+            lambda: a_bound_check(L),
+        ):
+            assert _traced_peak(call) <= 1.25 * row
+    finally:
+        moments._log_a_all.cache_clear()  # 8 MB at L = 10**6
+
+
 def test_scaled_limits_validation():
     with pytest.raises(ValueError):
         scaled_limits(10**6, 0.0, "bogus")
     with pytest.raises(ValueError):
         scaled_limits(10, -20.0, moments.REGIME_X_OVER_L)
+    # x is checked before exp(-X), which would overflow here
+    for regime in (moments.REGIME_X_OVER_L, moments.REGIME_LOG_OVER_L):
+        with pytest.raises(ValueError, match="x must be"):
+            scaled_limits(1000, -800.0, regime)
 
 
 def test_indecomposable_counts():
