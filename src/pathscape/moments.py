@@ -7,7 +7,7 @@ integer is `_lgamma_int`, a port of the cephes `lgam` behind
 `scipy.special.gammaln` that returns its bits, so this module needs
 numpy only.  A large-L tree moment holds the cached ln a(L,q) table plus
 one scratch array of L-1 floats, worked in place: 16 MB at L = 10^6,
-and a fresh `pathscape moments var-star --dim 1000000` peaks at 45 MiB.
+and a fresh `pathscape moments var-star --dim 1000000` peaks at 45 MiB RSS.
 
 Counts that outgrow a machine word are exact Python integers.  The
 hypercube pair profile, the count c_r of ordered path pairs whose shared
@@ -146,7 +146,7 @@ def _log_a_all(L: int) -> np.ndarray:
 def _tree_pair_log_terms(L: int, x: float) -> np.ndarray:
     """ln of a(L,q) (1-x)^(2L-q-2), the q-bond pairs' share of E[Theta^2],
     for q = 0..L-2 and x < 1, in one fresh array the caller may overwrite."""
-    log_a = _log_a_all(L)  # built before the scratch array, so a cold call holds 2 arrays
+    log_a = _log_a_all(L)  # before the scratch array: the build's temporaries never meet it
     terms = np.arange(2 * L - 2, L - 1, -1, dtype=float)  # 2L - q - 2
     return np.add(log_a, np.multiply(terms, math.log1p(-x), out=terms), out=terms)
 
@@ -172,7 +172,7 @@ def var_star_tree(L: int) -> float:
     sum_q a(L,q)/(2L-q-1)."""
     if L < 2:
         raise ValueError(f"L must be >= 2, got {L}")
-    log_a = _log_a_all(L)  # built first, as in _tree_pair_log_terms
+    log_a = _log_a_all(L)  # first, as in _tree_pair_log_terms
     terms = np.arange(2 * L - 1, L, -1, dtype=float)  # 2L - q - 1
     np.subtract(log_a, np.log(terms, out=terms), out=terms)
     return float(np.exp(terms, out=terms).sum())

@@ -173,6 +173,23 @@ def test_large_L_moments_are_pinned_bit_for_bit():
     assert cond_var_tree(L, 0.0, 3).hex() == "0x1.d1aa5cc8c07f6p+36"
 
 
+@pytest.mark.parametrize("L", [13, 2**16 + 1, 2**16 + 2, 2**17 + 3])
+def test_log_a_table_blocks_match_one_vector_pass(L):
+    # the table's increments are written in blocks of 2^16; the reference
+    # builds them in one pass with the same operation order
+    j = np.arange(1, L - 1, dtype=float)
+    inc = (
+        np.log(L - j - 1)
+        + np.log(2 * L - j - 1)
+        - np.log(2 * L - 2 * j)
+        - np.log(2 * L - 2 * j - 1)
+    )
+    ref = np.empty(L - 1)
+    ref[0] = math.log(L) + math.log(L - 1)
+    ref[1:] = ref[0] + np.cumsum(inc)
+    assert moments._log_a_all(L).tobytes() == ref.tobytes()
+
+
 def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
