@@ -20,8 +20,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import __version__, cascade, hypercube, mc, moments, recursion, stats, tree, verify
 from .parallel import resolve_threads
 from .rng import PHILOX_TAG, SPLITMIX_TAG
@@ -47,17 +45,7 @@ class ExperimentRecord:
     version: str = __version__
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, default=_jsonable, allow_nan=False)
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+        return json.dumps(asdict(self), sort_keys=True, allow_nan=False)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,7 +61,7 @@ def _flatten(prefix: str, obj, out: dict) -> None:
         for k, v in obj.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
     elif isinstance(obj, (list, tuple)):
-        out[prefix] = json.dumps(obj, default=_jsonable)
+        out[prefix] = json.dumps(obj)
     else:
         out[prefix] = obj
 
@@ -440,13 +428,21 @@ def run(argv=None) -> int:
                 )
             )
             code = EXIT_OK
-        # strict JSON: a non-finite value is refused here, never printed
-        lines = [rec.to_json() for rec in records]
-        if args.csv:
-            try:
-                _write_csv(args.csv, records)
-            except OSError as exc:
-                raise ValueError(f"cannot write --csv: {exc}") from exc
+        # strict JSON: a non-finite value is refused here, never printed; exact
+        # integers print in full, past CPython's int -> str digit cap (3.10.7+)
+        cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if cap:
+            sys.set_int_max_str_digits(0)
+        try:
+            lines = [rec.to_json() for rec in records]
+            if args.csv:
+                try:
+                    _write_csv(args.csv, records)
+                except OSError as exc:
+                    raise ValueError(f"cannot write --csv: {exc}") from exc
+        finally:
+            if cap:
+                sys.set_int_max_str_digits(cap)
     # an allocation the parameters make too large is a parameter error too
     except (ValueError, KeyError, MemoryError, hypercube.PathCountOverflowError) as exc:
         message = _flag_message(args, str(exc))

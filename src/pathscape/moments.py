@@ -124,10 +124,8 @@ def a_coeff(L: int, q: int) -> float:
 
 @lru_cache(maxsize=32)
 def _log_a_all(L: int) -> np.ndarray:
-    """ln a(L,q) for q = 0..L-2: the exact increments, written into the
-    output in blocks of 2^16 entries, then summed there in place."""
-    if L < 2:
-        raise ValueError(f"L must be >= 2, got {L}")
+    """ln a(L,q) for q = 0..L-2 (callers check L >= 2): the exact increments,
+    written into the output in blocks of 2^16 entries, then summed in place."""
     out = np.empty(L - 1)
     out[0] = math.log(L) + math.log(L - 1)
     for lo in range(1, L - 1, 2**16):
@@ -255,8 +253,6 @@ class BoundReport:
     a(L,q) <= 2 above.  The bound only holds from some L onward, so a
     violation is a finding to report, not an error."""
 
-    L: int
-    q0: int
     holds: bool
     first_violation_q: int | None
     max_log_excess: float
@@ -277,8 +273,6 @@ def a_bound_check(L: int) -> BoundReport:
     # equals the tail bound exactly, so exact equality must not register
     bad = np.flatnonzero(excess > 1e-9)
     return BoundReport(
-        L=L,
-        q0=split,
         holds=bad.size == 0,
         first_violation_q=int(bad[0]) if bad.size else None,
         max_log_excess=float(excess.max()),

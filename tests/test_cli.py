@@ -7,6 +7,7 @@ import math
 import os
 import re
 import shlex
+import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -164,6 +165,12 @@ def test_cascade_all_over_budget_exits_3(capsys, action):
         (["moments", "pair-cube", "--dim", "6", "--p", "4", "--q", "1"], "--p must be"),
         (["moments", "bn", "--n", "0"], "--n must be"),
         (["moments", "pair-tree", "--dim", "1"], "--dim must be >= 2"),
+        (["moments", "second", "--dim", "1"], "--dim must be >= 2"),
+        (["moments", "var-star", "--dim", "1"], "--dim must be >= 2"),
+        (["moments", "limits", "--dim", "2", "--X-scaled", "1"], "--dim must be >= 3"),
+        (["moments", "pstar-bound", "--dim", "1"], "--dim must be >= 2"),
+        (["recursion", "pexist", "--levels", "0"], "--levels must be >= 1"),
+        (["recursion", "fk", "--grid", "32"], "--grid must be >= 64"),
     ],
     ids=["no-dim", "limits-no-dim", "limits-no-regime", "negative-k", "missing-required",
          "zero-samples", "tree-zero-samples", "zmax-below-zmin", "gf-at-above-grid",
@@ -175,7 +182,8 @@ def test_cascade_all_over_budget_exits_3(capsys, action):
          "x-scaled-above-dim", "logscaled-above-one", "x-scaled-zero-dim", "logscaled-zero-dim",
          "limits-x-scaled-overflow", "limits-logscaled-overflow",
          "zero-budget", "zero-threads", "a-coeff-q-above-dim", "pair-cube-p-plus-q-above-dim",
-         "bn-zero-n", "pair-tree-dim-one"],
+         "bn-zero-n", "pair-tree-dim-one", "second-dim-one", "var-star-dim-one",
+         "limits-dim-two", "pstar-bound-dim-one", "pexist-zero-levels", "fk-small-grid"],
 )
 def test_bad_invocation_exits_2_with_json_error(capsys, argv, names):
     code, records, err = _run(capsys, *argv)
@@ -185,6 +193,59 @@ def test_bad_invocation_exits_2_with_json_error(capsys, argv, names):
     assert error["error"] == "parameters"
     # the flag (or the words) the message must name
     assert names in error["message"]
+
+
+def _int_digit_cap():
+    """CPython's int -> str digit cap; 0 (none) before 3.10.7."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+@pytest.fixture
+def int_digit_cap():
+    """The digit cap at its default of 4300 for one test, where there is one."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield 0
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
+def test_exact_integers_print_in_full_past_the_digit_cap(
+    capsys, tmp_path, monkeypatch, int_digit_cap
+):
+    # B(1559) has 4303 digits and the pair count 4305; each is evaluated once,
+    # by the CLI (B(1559) takes seconds), and kept here
+    returned = []
+
+    def keep(kernel):
+        def call(*args):
+            returned.append(kernel(*args))
+            return returned[-1]
+
+        return call
+
+    for name in ("indecomposable_count", "tree_pair_count"):
+        monkeypatch.setattr(moments, name, keep(getattr(moments, name)))
+    out_csv = tmp_path / "out.csv"
+    printed = []
+    for argv in (["moments", "bn", "--n", "1559"], ["moments", "pair-tree", "--dim", "860"]):
+        assert cli.run([*argv, "--csv", str(out_csv)]) == 0
+        assert _int_digit_cap() == int_digit_cap
+        printed.append((capsys.readouterr().out, out_csv.read_text()))
+    # the cap comes back on the error path too
+    assert cli.run(["moments", "pair-tree", "--dim", "860", "--csv", str(tmp_path / "no/x.csv")]) == 2
+    assert "--csv" in capsys.readouterr().err
+    assert _int_digit_cap() == int_digit_cap
+    if int_digit_cap:
+        sys.set_int_max_str_digits(0)
+    digits = [str(value) for value in returned[:2]]
+    assert [len(d) for d in digits] == [4303, 4305]
+    # as text: under the cap json.loads refuses these integers
+    for key, (out, csv_text), d in zip(("B", "pair_count"), printed, digits):
+        assert f'"{key}": {d},' in out
+        assert f",{d}," in csv_text
 
 
 @pytest.mark.parametrize(

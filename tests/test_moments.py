@@ -110,6 +110,11 @@ def test_split_bound_report():
     assert a_bound_check(2000).holds
 
 
+def test_split_bound_rejects_L_below_12():
+    with pytest.raises(ValueError, match="L must be >= 12"):
+        a_bound_check(11)
+
+
 def test_q0_value():
     assert q0(100) == math.ceil(math.log(10**4) / math.log(2) + 1)
     with pytest.raises(ValueError):
@@ -409,6 +414,11 @@ def test_second_moment_hypercube_two_cube_closed_form():
     assert second_moment_hypercube(2, x) == pytest.approx(
         2 * (1 - x) + 2 * (1 - x) ** 2, rel=1e-14
     )
+
+
+def test_second_moment_hypercube_rejects_L_below_2():
+    with pytest.raises(ValueError, match="L must be >= 2"):
+        second_moment_hypercube(1, 0.1)
 
 
 @pytest.mark.parametrize("L", [3, 5, 8])
