@@ -31,7 +31,6 @@ import numpy as np
 from .rng import philox_stream
 
 DEFAULT_DIM_CAP = 24
-ORACLE_DIM_CAP = 8
 
 # int64 head-room guard for the DP: before summing the k predecessor
 # counts of a level-k node, the previous level's max must leave room for
@@ -215,23 +214,3 @@ def theta_k_hypercube(land: HypercubeLandscape, k: int) -> float:
     w.ravel()[flat[ok]] = (L - 2 * k) * base[ok] ** (L - 2 * k - 1)
     return float(n @ w @ m)
 
-
-def enumerate_paths_oracle(land: HypercubeLandscape) -> int:
-    """Reference count: iterate all L! coordinate orders explicitly."""
-    L = land.dim
-    if L > ORACLE_DIM_CAP:
-        raise ValueError(f"oracle limited to L <= {ORACLE_DIM_CAP}, got {L}")
-    f = land.fitness
-    total = 0
-    for order in itertools.permutations(range(L)):
-        mask = 0
-        prev = f[0]
-        for bit in order:
-            mask |= 1 << bit
-            v = f[mask]
-            if not v > prev:
-                break
-            prev = v
-        else:
-            total += 1
-    return total

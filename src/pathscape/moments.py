@@ -17,9 +17,11 @@ primes and rebuilt by the Chinese remainder theorem:
 
 - The weights are reduced modulo each prime as Python integers; every
   prime is below 2^26, so each residue is an exact float64.
-- Every prime p has (L+1)(p-1)^2 < 2^53, so a float64 dot product of L+1
-  residue products is an exact integer whatever the BLAS summation order
-  or FMA use, and one int64 remainder reduces it.
+- Every prime p has (L+1)(p-1)^2 < 2^53.  Each convolution and the final
+  matrix product sum at most L+1 non-negative products of residues, so
+  every partial sum is an exact float64 integer, whatever the BLAS
+  summation order or FMA use in the matrix product.  Float `%` of such a
+  value is an exact fmod, so every residue is exact.
 - The primes' product M exceeds 8^L L!, which bounds every c_r: B(m) <= m!
   (B(m) counts a subset of the permutations), C(2m-2, m-1) <= 4^(m-1),
   m_1! ... m_r! <= L! for any composition (the multinomial coefficient is
@@ -376,54 +378,30 @@ def _from_residues(residues: np.ndarray, primes) -> list:
     return [sum(map(operator.mul, row, coeffs)) % M for row in residues.tolist()]
 
 
-def _reduce(y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Exact integer-valued float64 y (below 2^53) mod p, as float64."""
-    return (y.astype(np.int64) % p).astype(float)
+def _top_coefficients_mod(w: np.ndarray, p: int, L: int) -> np.ndarray:
+    """[z^L] W^r mod p for r = 1..L, from the residues w of W mod p.
 
-
-def _series_product_table(v: np.ndarray) -> np.ndarray:
-    """(C, n) coefficient rows -> (C, n, n) tables with out[c, j, i] =
-    v[c, i - j] for i >= j and 0 above, so that u @ out[c] is the product
-    of the series u and v[c] truncated after degree n - 1."""
-    C, n = v.shape
-    padded = np.zeros((C, 2 * n - 1))
-    padded[:, n - 1 :] = v
-    window = np.lib.stride_tricks.sliding_window_view(padded, n, axis=1)
-    return np.ascontiguousarray(window[:, ::-1])
-
-
-def _top_coefficients_mod(w: np.ndarray, p: np.ndarray, L: int) -> np.ndarray:
-    """[z^L] W^r mod p for r = 1..L, one row per prime (rows of w; p has
-    shape (C, 1, 1)).
-
-    Baby steps W^0..W^(s-1) and giant steps W^(js) are series products
-    with one table each; [z^L] W^(js+i) = sum_k [z^k] W^i [z^(L-k)] W^(js)
-    is then one batched matrix product.  W^(js) vanishes below degree js,
-    so giant step j only multiplies the (L+1-js)-square block that can be
-    nonzero: the giant steps cost about a third of full products, and
-    s = sqrt((L+1)/3) balances the two kinds.
+    Baby steps W^0..W^s and giant steps W^(js) are series products by
+    direct convolution; [z^L] W^(js+i) = sum_k [z^k] W^i [z^(L-k)] W^(js)
+    is then one matrix product.  W^(js) vanishes below degree js, so giant
+    step j only convolves the L+1-js coefficients that can be nonzero: the
+    giant steps cost about a third of full products, and s = sqrt((L+1)/3)
+    balances the two kinds.
     """
-    C, n = w.shape
-    s = round(math.sqrt(n / 3))  # at least 1, as n = L + 1 >= 3
+    n = L + 1
+    s = round(math.sqrt(n / 3))  # at least 1, as n >= 3
     t = L // s + 1  # js + i then runs over 0..ts-1, which covers 0..L
-    step = _series_product_table(w)
-    baby = np.zeros((C, s + 1, n))
-    baby[:, 0, 0] = 1.0
+    baby = np.zeros((s + 1, n))
+    baby[0, 0] = 1.0
     for i in range(1, s + 1):
-        baby[:, i] = _reduce(baby[:, i - 1, None] @ step, p)[:, 0]
-    giant_step = _series_product_table(baby[:, s])
-    giant = np.zeros((C, t, n))
-    giant[:, 0, 0] = 1.0
+        baby[i] = np.convolve(baby[i - 1], w)[:n] % p
+    giant = np.zeros((t, n))
+    giant[0, 0] = 1.0
     for j in range(1, t):
         lo, hi = (j - 1) * s, j * s  # W^(lo) vanishes below lo, W^s below s
-        block = giant[:, j - 1, None, lo : n - s] @ giant_step[:, lo : n - s, hi:]
-        giant[:, j, hi:] = _reduce(block, p)[:, 0]
-    top = _reduce(baby[:, :s] @ giant[:, :, ::-1].transpose(0, 2, 1), p)
-    return top.transpose(0, 2, 1).reshape(C, t * s)[:, 1 : L + 1]
-
-
-# Per chunk of primes, the two product tables take at most this many bytes.
-_CHUNK_BYTES = 2**21
+        block = np.convolve(giant[j - 1, lo : n - s], baby[s, s : n - lo])
+        giant[j, hi:] = block[: n - hi] % p
+    return (baby[:s] @ giant[:, ::-1].T % p).T.ravel()[1:n]
 
 
 @lru_cache(maxsize=8)
@@ -445,16 +423,11 @@ def _hypercube_pair_profile(L: int) -> tuple:
     b = _indecomposable_counts(L)
     weights = [0] + [b[m] * math.comb(2 * m - 2, m - 1) for m in range(1, L + 1)]
     primes = _crt_primes(L)
-    w = np.array([[v % p for v in weights] for p in primes], dtype=float)  # row k: W mod primes[k]
-    p = np.array(primes, dtype=np.int64)[:, None, None]
-    chunk = max(1, _CHUNK_BYTES // (16 * (L + 1) ** 2))
-    top = np.concatenate(
-        [
-            _top_coefficients_mod(w[a : a + chunk], p[a : a + chunk], L)
-            for a in range(0, len(primes), chunk)
-        ]
-    )
-    return tuple(_from_residues(top.T.astype(np.int64), primes))
+    top = [
+        _top_coefficients_mod(np.array([v % p for v in weights], dtype=float), p, L)
+        for p in primes
+    ]
+    return tuple(_from_residues(np.array(top).T.astype(np.int64), primes))
 
 
 def second_moment_hypercube(L: int, x: float) -> float:

@@ -3,13 +3,39 @@
 No `pathscape verify` battery runs them; the acceptance scorecard gates
 them at full strength and the golden records pin their results.  Each
 returns `verify.CheckResult` records, as a battery check does, with the
-sample counts of a battery (`verify._n`).
+sample counts of a battery (`verify._n`).  The hypercube's enumeration
+oracle lives here too, as no package code calls it.
 """
+
+import itertools
 
 import numpy as np
 
 from pathscape import hypercube, tree, verify
 from pathscape.rng import derive_seed
+
+ORACLE_DIM_CAP = 8
+
+
+def enumerate_paths_oracle(land: hypercube.HypercubeLandscape) -> int:
+    """Reference count: iterate all L! coordinate orders explicitly."""
+    L = land.dim
+    if L > ORACLE_DIM_CAP:
+        raise ValueError(f"oracle limited to L <= {ORACLE_DIM_CAP}, got {L}")
+    f = land.fitness
+    total = 0
+    for order in itertools.permutations(range(L)):
+        mask = 0
+        prev = f[0]
+        for bit in order:
+            mask |= 1 << bit
+            v = f[mask]
+            if not v > prev:
+                break
+            prev = v
+        else:
+            total += 1
+    return total
 
 
 def _oracle_check(criterion, what, cases, fast, oracle):
@@ -33,7 +59,7 @@ def check_hypercube_oracle(seed: int = verify.DEFAULT_SEED, scale: float = 1.0):
         for r in range(verify._n(100, scale))
     )
     what = "{} landscapes L=2..7, {} DP/oracle mismatches"
-    fast, oracle = hypercube.count_open_paths, hypercube.enumerate_paths_oracle
+    fast, oracle = hypercube.count_open_paths, enumerate_paths_oracle
     return [_oracle_check("1-hypercube-oracle-equivalence", what, lands, fast, oracle)]
 
 

@@ -19,11 +19,12 @@ from pathscape.hypercube import (
     _level_masks,
     _level_tables,
     count_open_paths,
-    enumerate_paths_oracle,
     generate_hypercube,
     path_exists,
     theta_k_hypercube,
 )
+
+from oracle_criteria import enumerate_paths_oracle
 
 SEED = 919
 

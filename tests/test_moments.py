@@ -348,6 +348,26 @@ def test_crt_primes_cover_the_count_bound(L):
     assert math.prod(primes) > 8**L * math.factorial(L)
 
 
+@pytest.mark.parametrize("L", [2, 256, 1024])
+def test_float_residue_arithmetic_is_exact(L):
+    # The premise of moments._top_coefficients_mod, checked on this
+    # platform for the largest and smallest prime of _crt_primes(L): float
+    # % of an integer-valued float64 below 2^53 is the exact remainder, and
+    # np.convolve of two rows of p - 1, the largest residues the bound
+    # (L+1)(p-1)^2 < 2^53 admits, is the exact integer convolution.
+    rng = np.random.default_rng(53)
+    # 0, then both ends and 2048 draws of every binade [2^e, 2^(e+1)) up to 2^53
+    ends = [0] + [v for e in range(53) for v in (2**e, 2 ** (e + 1) - 1)]
+    draws = [rng.integers(2**e, 2 ** (e + 1), 2048, dtype=np.int64) for e in range(53)]
+    y = np.concatenate([np.array(ends, dtype=np.int64)] + draws).tolist()
+    primes = moments._crt_primes(L)
+    for p in (primes[0], primes[-1]):
+        assert (np.array(y, dtype=float) % p).tolist() == [float(v % p) for v in y]
+        row = np.full(L + 1, p - 1.0)
+        exact = [(min(k, 2 * L - k) + 1) * (p - 1) ** 2 for k in range(2 * L + 1)]
+        assert np.convolve(row, row).tolist() == exact
+
+
 def test_pair_profile_rejects_one_step():
     with pytest.raises(ValueError):
         moments._hypercube_pair_profile(1)
