@@ -5,15 +5,16 @@ goes from 0...0 (value x) to 1...1 (value 1) flipping one 0 into a 1 per
 step, and is *open* when the node values strictly increase along it.
 Counting is a level-by-level dynamic program: the number of open paths
 into a node is the sum over its one-bit-lower predecessors with strictly
-smaller value.  It runs on the values gathered once into level order,
-with one cached, read-only (k, C(L, k)) table of predecessor positions
-per level k: L * 2^(L-1) * 8 bytes in all, 80 MiB at L = 20.  Each level
-is walked in blocks of whole table rows of at most _GATHER_ENTRIES = 2^16
-entries (one row when a row is longer), so the working memory is the
-tables, the level-ordered values and one such block: a first count in a
-fresh process peaks at 147 MB RSS at L = 20 and 2.07 GB at L = 24.
-Counts to the top corner run the same DP on the reflected cube, and
-existence runs it on booleans.
+smaller value.  It runs on 16-cube tiles: the low d = min(L, 16) bits of a
+node are its place in a tile, the high L - d bits its row.  Rows go in
+ascending order.  Each runs the DP within its tile on one cached,
+read-only level-order table set of the d-cube, 4.5 MB at d = 16 whatever
+L, and adds element by element the counts of each row one bit below it
+(the same tile node with one row bit cleared).  Beyond the tables the DP
+holds the values gathered into tile level order and the counts, 8 * 2^L
+bytes each.  A first count in a fresh process peaks at 64 MB RSS at
+L = 20 and 425 MB at L = 24.  Counts to the top corner run the same DP on
+the reflected cube, and existence runs it on booleans.
 
 Ties in fitness are treated as blocking (strict inequality), a
 probability-zero event under the continuous model but deterministic.
@@ -41,9 +42,9 @@ DEFAULT_DIM_CAP = 24
 _I64_MAX = (1 << 63) - 1
 _GUARD_FROM_LEVEL = 21
 
-# Table entries gathered at once by the level DP; a level of at most this
-# many entries is one block, and so is every level up to L = 15.
-_GATHER_ENTRIES = 2**16
+# Tile dimension of the level DP: only the tables of this cube are built,
+# and one tile level gathers at most 8 * C(16, 8) = 102 960 table entries.
+_TILE_DIM = 16
 
 
 class PathCountOverflowError(OverflowError):
@@ -112,38 +113,73 @@ def _level_tables(L: int):
 
 
 def _level_masks(L: int, k: int) -> np.ndarray:
-    """The level-k masks, ascending: a read-only view of the cached order."""
-    order, off, _ = _level_tables(L)
-    return order[off[k] : off[k + 1]]
+    """The level-k masks, ascending, in int64.
+
+    Up to the tile dimension d = _TILE_DIM a read-only view of the cached
+    order.  Above it, a node is (row << d) | t on level popcount(row) +
+    popcount(t), so row by row the masks are those of tile level
+    k - popcount(row) with the row bits set; no table of the L-cube is
+    built.
+    """
+    d = min(L, _TILE_DIM)
+    order, off, _ = _level_tables(d)
+    if L == d:
+        return order[off[k] : off[k + 1]]
+    masks = []
+    for r in range(1 << (L - d)):
+        t = k - r.bit_count()
+        if 0 <= t <= d:
+            masks.append((r << d) | order[off[t] : off[t + 1]])
+    return np.concatenate(masks)
 
 
 def _level_dp(f: np.ndarray, L: int, k_max: int, dtype) -> np.ndarray:
-    """The level DP from 0...0 to the level-k_max nodes, in dtype.
+    """The level DP from 0...0 to the level-k_max nodes, masks ascending.
 
     In int64 it gives the open-prefix counts n_sigma; in bool, where sum
     is logical or, whether an open prefix reaches each node.  The edge
     from a predecessor into a level-k node is open when the value strictly
-    increases along it; ties block.  Each level is walked in blocks of
-    whole rows of its predecessor table, at most _GATHER_ENTRIES entries
-    or one row, and the blocks' column sums are added.
+    increases along it; ties block.  Node (row << d) | t, d = min(L,
+    _TILE_DIM), has as predecessors the lower tile levels of its row and
+    the same tile node in each row one bit below.  Rows go in ascending
+    order, so those rows are finished first; within a row, each tile
+    level sums its tile predecessors, then adds the rows below element by
+    element.  Either sum is exact in any order.  Each finished level-(k-1)
+    count is checked against _I64_MAX // k before it enters a level-k sum,
+    from level 21 on: a landscape raises exactly when the level-by-level
+    DP would, but for L >= 22 the message may name a higher overflowing
+    level than the lowest.
     """
-    order, off, preds = _level_tables(L)
-    fl = f[order[: off[k_max + 1]]]
-    n, here = np.ones(1, dtype=dtype), fl[:1]
-    for k in range(1, k_max + 1):
-        if k >= _GUARD_FROM_LEVEL and n.max() > _I64_MAX // k:
-            raise PathCountOverflowError(f"path count overflow at level {k}")
-        below, here = here, fl[off[k] : off[k + 1]]
-        step = max(1, _GATHER_ENTRIES // len(here))
-        nxt = None
-        for r in range(0, k, step):
-            rows = preds[k][r : r + step]
-            c = n[rows]
-            c *= below[rows] < here
-            s = c.sum(axis=0, dtype=dtype)
-            nxt = s if nxt is None else np.add(nxt, s, out=nxt)  # exact: int64 or bool
-        n = nxt
-    return n
+    d = min(L, _TILE_DIM)
+    order, off, preds = _level_tables(d)
+    cols = order[: off[min(k_max, d) + 1]]
+    F = [row[cols] for row in f.reshape(-1, 1 << d)]
+    n = np.zeros((len(F), len(cols)), dtype=dtype)
+    n[0, 0] = 1
+    out = []
+    for r, (nr, fr) in enumerate(zip(n, F)):
+        p = r.bit_count()
+        rows_below = [r ^ (1 << b) for b in range(L - d) if r >> b & 1]
+        for t in range(min(d, k_max - p) + 1):
+            lvl = slice(off[t], off[t + 1])
+            nh, fh = nr[lvl], fr[lvl]
+            if t:
+                is_open = fb[preds[t]] < fh
+                c = nb[preds[t]]
+                c *= is_open
+                c.sum(axis=0, dtype=dtype, out=nh)
+                # freed before the next level's gathers, which then reuse
+                # their memory instead of faulting in fresh pages
+                del is_open, c
+            for q in rows_below:
+                nh += n[q, lvl] * (F[q][lvl] < fh)
+            k = p + t + 1  # the level these counts feed
+            if _GUARD_FROM_LEVEL <= k <= k_max and nh.max() > _I64_MAX // k:
+                raise PathCountOverflowError(f"path count overflow at level {k}")
+            nb, fb = nh, fh
+        if p <= k_max <= p + d:
+            out.append(nr[off[k_max - p] : off[k_max - p + 1]])
+    return np.concatenate(out)
 
 
 def _counts_from_origin(f: np.ndarray, L: int, k_max: int) -> np.ndarray:

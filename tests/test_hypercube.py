@@ -370,58 +370,96 @@ def _fully_open(L: int) -> HypercubeLandscape:
 
 def test_overflow_guard_starts_at_level_21():
     # counts reach k! at level k; 20! fits in int64 and 21! does not
-    try:
-        assert count_open_paths(_fully_open(20)) == math.factorial(20)
-        _level_tables.cache_clear()
-        with pytest.raises(PathCountOverflowError, match="level 21"):
-            count_open_paths(_fully_open(21))
-    finally:
-        _level_tables.cache_clear()  # 80 MB of tables at L = 20, 176 MB at L = 21
+    assert count_open_paths(_fully_open(20)) == math.factorial(20)
+    with pytest.raises(PathCountOverflowError, match="level 21"):
+        count_open_paths(_fully_open(21))
+    # above the tile dimension too: rows one bit below feed level 21 first
+    with pytest.raises(PathCountOverflowError, match="level 21"):
+        count_open_paths(_fully_open(22))
 
 
-@pytest.mark.parametrize("entries", [1, 5])
-def test_row_blocks_leave_results_unchanged(monkeypatch, entries):
-    # one row per block, and uneven blocks (5 rows, then the rest, at the
-    # top level of L = 6..9); unpatched, every level here is one block
+def test_overflow_guard_passes_random_cube_at_dim_21():
+    land = generate_hypercube(21, 1 / 21, SEED)
+    count = count_open_paths(land)
+    assert count >= 0
+    assert path_exists(land) == (count > 0)
+
+
+def test_level_masks_above_tile_dim_match_definition(monkeypatch):
+    # built from the tile split alone: no table of the 17-cube
+    L = 17
+    dims, built = [], hypercube._level_tables
+
+    def tables(d):
+        dims.append(d)
+        return built(d)
+
+    monkeypatch.setattr(hypercube, "_level_tables", tables)
+    level = np.bitwise_count(np.arange(1 << L))
+    for k in range(L + 1):
+        masks = _level_masks(L, k)
+        assert masks.dtype == np.int64
+        assert np.array_equal(masks, np.flatnonzero(level == k))
+    assert set(dims) == {hypercube._TILE_DIM}
+
+
+@pytest.mark.parametrize("tile_dim", [1, 2, 3, 5, 10])
+def test_tile_dims_leave_results_unchanged(monkeypatch, tile_dim):
+    # one row per node (1), many rows of small tiles, and tile_dim >= L (10);
+    # unpatched, every cube here is one tile
     lands = []
     for L in range(1, 11):
         raw = generate_hypercube(L, 0.1, SEED, replica=L)
         lands += [raw, _tied(raw)]
 
-    def level_counts(land):
+    def levels(land):
         f, L = land.fitness, land.dim
-        return [(_counts_from_origin(f, L, k), _counts_to_top(f, L, k)) for k in range(L + 1)]
+        return [
+            (
+                _level_masks(L, k),
+                _counts_from_origin(f, L, k),
+                _counts_to_top(f, L, k),
+                hypercube._level_dp(f, L, k, bool),
+            )
+            for k in range(L + 1)
+        ]
 
-    expect = [level_counts(land) for land in lands]
-    monkeypatch.setattr(hypercube, "_GATHER_ENTRIES", entries)
-    for land, levels in zip(lands, expect):
-        for (n, m), (n_ref, m_ref) in zip(level_counts(land), levels, strict=True):
-            assert n.dtype == m.dtype == np.int64
-            assert np.array_equal(n, n_ref)
-            assert np.array_equal(m, m_ref)
+    expect = [levels(land) for land in lands]
+    monkeypatch.setattr(hypercube, "_TILE_DIM", tile_dim)
+    for land, want in zip(lands, expect):
+        for got, ref in zip(levels(land), want, strict=True):
+            masks, n, m, reached = got
+            assert masks.dtype == n.dtype == m.dtype == np.int64
+            assert reached.dtype == bool
+            assert np.array_equal(reached, ref[1] > 0)
+            for a, b in zip(got, ref, strict=True):
+                assert np.array_equal(a, b)
         assert path_exists(land) == (count_open_paths(land) > 0)
 
 
 def test_level_dp_working_set_is_bounded():
-    # beyond the cached tables the DP holds a few length-2^L arrays (the
-    # level-ordered values, the reflected cube) and one block of rows
-    L = 18
+    # cold calls, tables included: the 16-cube tables plus a few length-2^L
+    # arrays (values in tile order, the counts, the reflected cube) and one
+    # tile level's gathers, whatever L
+    L = 20
     land = _fully_open(L)
-    bound = 3 * 8 * 2**L + 24 * hypercube._GATHER_ENTRIES
+    _level_tables.cache_clear()
+    order, _, preds = _level_tables(hypercube._TILE_DIM)
+    tables = order.nbytes + sum(t.nbytes for t in preds)
+    bound = 4 * 8 * 2**L + tables
     calls = (
         lambda: count_open_paths(land),
         lambda: path_exists(land),
         lambda: _counts_to_top(land.fitness, L, L // 2),
+        lambda: theta_k_hypercube(land, 1),
     )
-    try:
-        for call in calls:
-            call()  # builds the tables outside the measurement
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= bound
-    finally:
-        _level_tables.cache_clear()  # 21 MB of tables at L = 18
+    for call in calls:
+        _level_tables.cache_clear()
+        hypercube._comparable_pairs.cache_clear()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
