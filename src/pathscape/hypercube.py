@@ -133,7 +133,7 @@ def _level_masks(L: int, k: int) -> np.ndarray:
     return np.concatenate(masks)
 
 
-def _level_dp(f: np.ndarray, L: int, k_max: int, dtype) -> np.ndarray:
+def _level_dp(f: np.ndarray, L: int, k_max: int, dtype, reflect: bool = False) -> np.ndarray:
     """The level DP from 0...0 to the level-k_max nodes, masks ascending.
 
     In int64 it gives the open-prefix counts n_sigma; in bool, where sum
@@ -149,11 +149,17 @@ def _level_dp(f: np.ndarray, L: int, k_max: int, dtype) -> np.ndarray:
     from level 21 on: a landscape raises exactly when the level-by-level
     DP would, but for L >= 22 the message may name a higher overflowing
     level than the lowest.
+
+    With `reflect`, the DP runs on the reflected cube -f[::-1] (see
+    _counts_to_top): each row is gathered from a reversed view of f and
+    negated in place, so the cube itself is never copied.
     """
     d = min(L, _TILE_DIM)
     order, off, preds = _level_tables(d)
     cols = order[: off[min(k_max, d) + 1]]
-    F = [row[cols] for row in f.reshape(-1, 1 << d)]
+    F = [row[cols] for row in (f[::-1] if reflect else f).reshape(-1, 1 << d)]
+    if reflect:
+        F = [np.negative(fr, out=fr) for fr in F]
     n = np.zeros((len(F), len(cols)), dtype=dtype)
     n[0, 0] = 1
     out = []
@@ -196,7 +202,7 @@ def _counts_to_top(f: np.ndarray, L: int, k: int) -> np.ndarray:
     both of the fitness array and of each level.  Negation is exact, so
     the reflected cube has exactly the ties of f (1 - f would round).
     """
-    return _counts_from_origin(-f[::-1], L, k)[::-1]
+    return _level_dp(f, L, k, np.int64, reflect=True)[::-1]
 
 
 def count_open_paths(land: HypercubeLandscape) -> int:

@@ -20,18 +20,21 @@ deficit d = 1 - G (or p itself).  Where log d drops below
 _TAIL_GRAFT_LOG = -575 the update is exactly linear and d is a closed
 form, so each sweep computes d numerically only on the window
 x < ~575/size and keeps the rest as the formula.  The suffix integral
-still sums that closed-form tail cell by cell, out to the exact
-underflow of exp (log < _UNDERFLOW_LOG = -746, a fact of IEEE doubles):
-past it every value and every cell is an exact zero, so the result is
-bit-identical to sweeping the whole grid.  For p(x, 10^4) a sweep
-touches 23 % of the grid on average.  Within the window the update
-d = -expm1(size * log1p(-D)) is also exactly linear wherever
-y = fl(size * D) < _LINEAR_BOUND = 2^-54: D <= y, and a correctly rounded
-log1p(t) or expm1(t) returns t itself for |t| < 2^-54, so the formula
-yields y bit for bit and only the head of the window up to the last
-point with y >= 2^-54 takes the transcendentals.  Each sweep runs in
-place on buffers allocated once per call, and the output is
-bit-identical to the full-grid loops.
+over the window still needs that closed-form tail.  Summed cell by cell
+out to the exact underflow of exp (log < _UNDERFLOW_LOG = -746, a fact
+of IEEE doubles), past which every value and every cell is an exact
+zero, it gives the whole grid's sums bit for bit.  Most sweeps stop
+short of the tail's subnormal band: they bound what the cells left out
+can add by +-sigma and run the suffix sums from both ends of that
+range.  Rounding is monotone, so where the two agree on the window, so
+do the full tail's sums (see _deficit_sweeps).  For p(x, 10^4) a sweep
+touches 22 % of the grid on average.  Within the window the update d = -expm1(size * log1p(-D)) is also
+exactly linear wherever y = fl(size * D) < _LINEAR_BOUND = 2^-54: D <= y,
+and a correctly rounded log1p(t) or expm1(t) returns t itself for
+|t| < 2^-54, so the formula yields y bit for bit and only the head of
+the window up to the last point with y >= 2^-54 takes the
+transcendentals.  Each sweep runs in place on buffers allocated once
+per call, and the output is bit-identical to the full-grid loops.
 
 Accuracy is auditable by grid doubling rather than adaptive meshing.
 """
@@ -100,8 +103,12 @@ def _segment_integrals(f: np.ndarray, h: float, seg: np.ndarray, f13: np.ndarray
     np.add(mid, t[2:-1], out=mid)
     np.subtract(mid, f[3:], out=mid)
     np.multiply(mid, c, out=mid)
-    seg[0] = c * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
-    seg[n - 2] = c * (f[-4] - 5.0 * f[-3] + 19.0 * f[-2] + 9.0 * f[-1])
+    # the one-sided end cells in Python floats, the same IEEE operations
+    # as on numpy scalars without their per-operation overhead
+    f0, f1, f2, f3 = f[:4].tolist()
+    seg[0] = c * (9.0 * f0 + 19.0 * f1 - 5.0 * f2 + f3)
+    f0, f1, f2, f3 = f[-4:].tolist()
+    seg[n - 2] = c * (f0 - 5.0 * f1 + 19.0 * f2 + 9.0 * f3)
     return seg[: n - 1]
 
 
@@ -122,12 +129,40 @@ _TAIL_GRAFT_LOG = -575.0
 #: below about -745.13).  A fact of the number format, not a tolerance.
 _UNDERFLOW_LOG = -746.0
 
+#: ln of the smallest normal double, 2**-1022.  Where results fall below
+#: it, exp and the cell arithmetic run up to 80x slower.
+_NORMAL_LOG = math.log(2.0**-1022)
+
 #: Where y = fl(size*D) is below this, -expm1(size*log1p(-D)) is exactly y.
 #: D <= y, and a correctly rounded log1p(t) or expm1(t) equals t for
 #: |t| < 2**-54: the true value lies within a relative |t|/2 < 2**-55 of t,
 #: and half an ulp of t is more than 2**-54 of t.  A fact of IEEE doubles,
 #: not a tolerance (tests check the libm premise on every such binade).
 _LINEAR_BOUND = 2.0**-54
+
+#: Sizes whose bounds m, k and Q share one searchsorted call; bounds for
+#: all L sizes at once would hold lists of L Python ints and floats.
+_SIZE_BLOCK = 64
+
+
+def _dropped_cells_bound(count: int, c: float, f_first: float) -> float:
+    """sigma: how far from zero the rounded suffix sum of `count` cells
+    c*(stencil) can be when every stencil reads only closed-form tail
+    points of d_{size-1}, size > 2, from the one that holds f_first on.
+
+    The tail decreases there: its log falls by at least (size-2)*h per
+    point, far more than log1p and exp err, so each point is at most
+    f_first up to exp's own few ulps.  So each cell is at most
+    34*c*f_first exactly: 34 is the largest sum of |stencil weights|,
+    the one-sided last cell's (the interior stencil's is 28).  Each of
+    the at most eight roundings that make a cell and add it to the sum
+    costs a relative 2^-53 while its result is normal, or at most
+    2^-1075 (half the smallest subnormal) below that.  For any grid that
+    fits in memory (count < 2^40) the sum is thus within
+    count*(34*c*f_first*(1 + 2^-12) + 8*2^-1075) of zero, and 64 and
+    2^-1068 leave room for exp's error and for rounding sigma itself.
+    """
+    return count * (64.0 * c * f_first + 2.0**-1068)
 
 
 def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
@@ -136,18 +171,74 @@ def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
 
     The closed form a0*size*(1-x)^(size-1) replaces d_size wherever its
     log is below _TAIL_GRAFT_LOG, which is a suffix of the grid, so only
-    the window before it is swept (see the module docstring).  On the
-    window, each point where y = size*clip(D, 0, 1) < _LINEAR_BOUND keeps
-    y, which is what log1p/expm1 round to there; the transcendentals run
-    on the head up to the last point with y >= _LINEAR_BOUND, found by a
-    mask, since D need not decrease.  The result is bit-identical to
-    sweeping the whole grid and grafting the tail after each sweep.
+    the window 0..m before it is swept (see the module docstring).  On
+    the window, each point where y = size*clip(D, 0, 1) < _LINEAR_BOUND
+    keeps y, which is what log1p/expm1 round to there; the
+    transcendentals run on the head up to the last point with
+    y >= _LINEAR_BOUND, found by a mask, since D need not decrease.
+
+    Each sweep first tries to leave out the subnormal band of the tail
+    of d_{size-1} (held in f), where exp and the cell arithmetic run up
+    to 80x slower.  Q is the first tail point whose log is below
+    ln(2^-1022/h) + 1, so the cells left of it, about h*f, are normal.
+    The tail is written up to Q + 1 and only cells 0..Q-1 are computed;
+    the rounded sum of the cells Q..cells-1 left out is within sigma
+    (_dropped_cells_bound) of zero.  fl(a + s) is nondecreasing in
+    a, so the full tail's suffix sums lie between two chains over cells
+    Q-1..0: one from -sigma into D, one from +sigma down to index m + 1
+    into the scratch for 13 f.  Where the chains meet at m + 1 with a
+    nonzero value, the true sum has those bits there, and every sum
+    below repeats the same roundings from it, so D[0..m] is exactly
+    what the full tail gives.  Where they do not meet, the sweep is
+    redone on the full tail out to k.  Size 2 (d_1 is the constant a0,
+    no tail to cut) and every sweep where Q is within one point of
+    either window, or not below k, take the full tail at once.  The
+    output's own tail, subnormals included, is written once at the end.
+
+    m, k and Q come from one searchsorted per threshold and block of
+    _SIZE_BLOCK sizes, each guess stepped to the exact float predicate.
     """
     h = 1.0 / grid_n
+    c = h / 24.0
     xs = np.linspace(0.0, 1.0, grid_n + 1)
     with np.errstate(divide="ignore"):
         log1mx = np.log1p(-xs)
     neg_log1mx = -log1mx  # ascending, for searchsorted
+    # left of the first tail point below this log, the cells are normal
+    q_floor = _NORMAL_LOG - math.log(h) + 1.0
+
+    def last_at_least(sizes, floor):
+        # Per size, the last index i whose tail log
+        # log(a0*size) + (size-1)*log1mx[i] is >= floor (-1 if none): one
+        # searchsorted for the block, then each guess stepped to that
+        # exact float predicate, in Python floats (the same IEEE
+        # operations as on numpy scalars, at a fraction of the cost)
+        logs = [math.log(a0 * s) for s in sizes]
+        keys = [(la - floor) / (s - 1) for la, s in zip(logs, sizes)]
+        found = []
+        for la, s, i in zip(logs, sizes, np.searchsorted(neg_log1mx, keys, "right").tolist()):
+            i -= 1
+            while i < grid_n and la + (s - 1) * log1mx.item(i + 1) >= floor:
+                i += 1
+            while i >= 0 and not la + (s - 1) * log1mx.item(i) >= floor:
+                i -= 1
+            found.append(i)
+        return found
+
+    def bounds():
+        # (size, m, k, Q) for size = 2..L, a block of sizes at a time.
+        # d_{size-1} is nonzero at most on 0..k, and k >= m.  d_1 is the
+        # constant a0: size 2 sums it over the whole grid (k = grid_n)
+        # and takes no cut (Q = 0).
+        for lo in range(2, L + 1, _SIZE_BLOCK):
+            sizes = range(lo, min(lo + _SIZE_BLOCK, L + 1))
+            prev = range(max(lo - 1, 2), sizes.stop - 1)
+            ks = last_at_least(prev, _UNDERFLOW_LOG)
+            qs = [q + 1 for q in last_at_least(prev, q_floor)]
+            if lo == 2:
+                ks, qs = [grid_n] + ks, [0] + qs
+            yield from zip(sizes, last_at_least(sizes, _TAIL_GRAFT_LOG), ks, qs)
+
     # f holds d_{size-1}: swept values on 0..w-1, then the closed-form
     # tail.  The three other buffers are scratch for one sweep.
     f = np.full(grid_n + 4, a0)
@@ -160,36 +251,37 @@ def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
         np.add(t, math.log(a0 * size), out=t)
         np.exp(t, out=t)
 
-    def last_at_least(size, floor):
-        # Last index whose tail log is >= floor (-1 if none); the guess
-        # from searchsorted is corrected with the exact float predicate.
-        log_a = math.log(a0 * size)
-        i = int(np.searchsorted(neg_log1mx, (log_a - floor) / (size - 1), "right")) - 1
-        while i < grid_n and log_a + (size - 1) * log1mx[i + 1] >= floor:
-            i += 1
-        while i >= 0 and not log_a + (size - 1) * log1mx[i] >= floor:
-            i -= 1
-        return i
-
     with np.errstate(divide="ignore"):
-        for size in range(2, L + 1):
-            m = last_at_least(size, _TAIL_GRAFT_LOG)
+        for size, m, k, q in bounds():
             if m < 0:
                 w = 0
                 continue
-            # d_{size-1} is nonzero at most on 0..k, and k >= m
-            k = grid_n if size == 2 else last_at_least(size - 1, _UNDERFLOW_LOG)
             if k >= grid_n - 3:
                 n, cells = grid_n + 1, grid_n
             else:
                 # three zero points past k complete the interior stencils;
                 # the slice's own one-sided last cell is not a cell of the grid
                 n, cells = k + 4, k + 2
-            write_tail(size - 1, w, k + 1)
-            f[k + 1 : n] = 0.0
-            _segment_integrals(f[:n], h, seg, f13)
-            # suffix sums D[i] = seg[cells-1] + ... + seg[i], in that order
-            np.add.accumulate(seg[cells - 1 :: -1], out=D[cells - 1 :: -1])
+            # the cut at q, then (if its chains did not meet) the full tail
+            for top in (q, k) if max(w, m + 1) + 1 < q < k else (k,):
+                if top == k:
+                    write_tail(size - 1, w, k + 1)
+                    f[k + 1 : n] = 0.0
+                    _segment_integrals(f[:n], h, seg, f13)
+                    # suffix sums D[i] = seg[cells-1] + ... + seg[i], in that order
+                    np.add.accumulate(seg[cells - 1 :: -1], out=D[cells - 1 :: -1])
+                    break
+                write_tail(size - 1, w, q + 2)
+                # cells 0..q-1; the slice's one-sided last cell q is
+                # overwritten by each chain's starting value
+                _segment_integrals(f[: q + 2], h, seg, f13)
+                sigma = _dropped_cells_bound(cells - q, c, f.item(q - 1))
+                seg[q] = -sigma
+                np.add.accumulate(seg[q::-1], out=D[q::-1])
+                seg[q] = sigma
+                np.add.accumulate(seg[q:m:-1], out=f13[q:m:-1])
+                if D.item(m + 1) == f13.item(m + 1) != 0.0:
+                    break
             # d_size = -expm1(size * log1p(-clip(D, 0, 1))) on the window,
             # written over the head of f, which seg and D no longer need;
             # past the last point b - 1 with size*D >= _LINEAR_BOUND it is
@@ -197,7 +289,7 @@ def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
             w = m + 1
             t = D[:w].clip(0.0, 1.0, out=D[:w])
             y = np.multiply(t, size, out=f[:w])
-            big = np.flatnonzero(y >= _LINEAR_BOUND)
+            big = (y >= _LINEAR_BOUND).nonzero()[0]
             b = int(big[-1]) + 1 if big.size else 0
             t = np.negative(t[:b], out=t[:b])
             np.log1p(t, out=t)

@@ -439,8 +439,8 @@ def test_tile_dims_leave_results_unchanged(monkeypatch, tile_dim):
 
 def test_level_dp_working_set_is_bounded():
     # cold calls, tables included: the 16-cube tables plus a few length-2^L
-    # arrays (values in tile order, the counts, the reflected cube) and one
-    # tile level's gathers, whatever L
+    # arrays (values in tile order, the counts) and one tile level's
+    # gathers, whatever L
     L = 20
     land = _fully_open(L)
     _level_tables.cache_clear()
@@ -463,3 +463,19 @@ def test_level_dp_working_set_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak <= bound
+
+
+def test_counts_to_top_does_not_copy_the_cube():
+    # warm tables, k = 1: both corners gather a few values per row, and the
+    # top corner reads the reflected cube through a reversed view of f
+    L = 20
+    f = _fully_open(L).fitness
+    for corner in (_counts_from_origin, _counts_to_top):
+        corner(f, L, 1)
+        tracemalloc.start()
+        try:
+            corner(f, L, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < f.nbytes // 64, corner.__name__

@@ -93,6 +93,13 @@ def _existence_prob_full(L, grid_n):
 # every case; lam = 1/L, 1 and 50 and existence_prob have b = w (no
 # linear part) on their one sweep at (2, 64) and on 3-6 sweeps elsewhere,
 # and 0 < b < w on all the others.
+#
+# The suffix sums leave out the tail's subnormal band (the cut at Q) in
+# the last three cases only: from size 94-100 on at 2^12 and 86-91 on at
+# 2^13, on every later sweep but two to four, 472-604 sweeps at 2^12 and
+# 1908-1913 at 2^13 per recursion.  Before that, and always in the first
+# two cases, the tail's underflow lies too close to the grid's end.
+# test_cut_fallback_matches_full_grid_oracle forces every cut to fall back.
 _ORACLE_CASES = [(2, 64), (50, 2**10), (575, 2**12), (700, 2**12), (2000, 2**13)]
 
 
@@ -106,6 +113,22 @@ def test_existence_prob_matches_full_grid_oracle(L, grid_n):
 def test_tree_gf_matches_full_grid_oracle(L, grid_n, lam_kind):
     lam = {"1/L": 1.0 / L, "1": 1.0, "50": 50.0, "1e-20": 1e-20}[lam_kind]
     assert np.array_equal(tree_gf(lam, L, grid_n).values, _tree_gf_full(lam, L, grid_n))
+
+
+@pytest.mark.parametrize("L, grid_n", _ORACLE_CASES)
+def test_cut_fallback_matches_full_grid_oracle(L, grid_n, monkeypatch):
+    # an infinite sigma keeps the two chains apart, so every sweep that
+    # tries the cut at Q is redone on the full tail
+    tried = []
+
+    def never_meet(count, c, f_first):
+        tried.append(count)
+        return math.inf
+
+    monkeypatch.setattr(recursion, "_dropped_cells_bound", never_meet)
+    assert np.array_equal(existence_prob(L, grid_n).values, _existence_prob_full(L, grid_n))
+    assert np.array_equal(tree_gf(1.0 / L, L, grid_n).values, _tree_gf_full(1.0 / L, L, grid_n))
+    assert (len(tried) > 0) == (L >= 575)
 
 
 def test_tree_gf_empty_window_matches_full_grid_oracle():
@@ -141,6 +164,22 @@ def test_golden_benchmark_size_sweeps():
     )
 
 
+@pytest.mark.parametrize(
+    "lam, L, grid_n, digest",
+    [
+        (0.5 / 2000, 2000, 2**14, "d10130ae11311f9addca99edc6ae2b0c23799ac7308d40a67b713b4b78434904"),
+        (1.0 / 2000, 2000, 2**14, "f6b8d178aa22d0e0e8bbcbe749d3f73ad561eab4578dbf9a9433d79224f2a8f6"),
+        (2.0 / 2000, 2000, 2**14, "25deac05fe3c20abcb1072a70de593b8ac2c5928875e4f90ea71b7ef01f17699"),
+        (1.0 / 500, 500, 2**17, "f7789be90b45180516bc4d4c3a3f74ab7e041074fec3b60554031e367d327fd5"),
+    ],
+)
+def test_golden_benchmark_gf_sweeps(lam, L, grid_n, digest):
+    # the benchmark's windowed (mu = 0.5, 1, 2) and full-grid tree_gf
+    # sizes, recorded before the sweeps stopped summing the subnormal band
+    values = tree_gf(lam, L, grid_n).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
 def test_log1p_expm1_are_identity_below_linear_bound():
     # The premise of recursion._LINEAR_BOUND, checked on this platform's
     # libm: a few thousand mantissas in every binade below 2^-54, the
@@ -164,6 +203,41 @@ def test_log1p_expm1_are_identity_below_linear_bound():
     assert np.signbit(t[t == 0]).tolist() == [False, True]
     for fn in (np.log1p, np.expm1):
         assert np.array_equal(fn(t).view(np.uint64), t.view(np.uint64)), fn.__name__
+
+
+def test_reversed_accumulate_is_a_left_to_right_float_loop():
+    # The premise of the suffix sums and of the chains from -sigma and
+    # +sigma: np.add.accumulate over a reversed view, written into a
+    # reversed view, adds one element at a time from the right, each sum
+    # rounded once, as a Python float loop does.  Read from the right, the
+    # data are both signed zeros, a run of subnormals of both signs (sums
+    # that stay subnormal), a run of zeros, then normal values over the
+    # whole exponent range mixed with subnormals and with the negatives
+    # of some of them.
+    rng = np.random.default_rng(1068)
+
+    def signed(v):
+        return np.where(rng.random(len(v)) < 0.5, -v, v)
+
+    normal = signed(np.ldexp(rng.random(2000) + 1.0, rng.integers(-1022, 1000, 2000)))
+    subnormal = signed(rng.integers(1, 2**52, 2000, dtype=np.uint64).view(np.float64))
+    # below 2^-1034 each, so that 500 of them sum below 2^-1022
+    small = signed(rng.integers(1, 2**40, 500, dtype=np.uint64).view(np.float64))
+    mixed = np.concatenate((normal, subnormal, -normal[:300], -subnormal[:300]))
+    rng.shuffle(mixed)
+    zeros = np.array([0.0, -0.0])[rng.integers(0, 2, 400)]
+    x = np.concatenate((mixed, zeros, small, [0.0, -0.0, -0.0]))
+    out = np.full(len(x) + 4, np.nan)
+    np.add.accumulate(x[::-1], out=out[len(x) - 1 :: -1])
+    want, acc = [], None
+    for v in x[::-1].tolist():
+        acc = v if acc is None else acc + v
+        want.append(acc)
+    assert np.array_equal(out[: len(x)].view(np.uint64), np.array(want[::-1]).view(np.uint64))
+    assert np.isnan(out[len(x) :]).all()
+    assert np.signbit(out[len(x) - 3 : len(x)]).tolist() == [False, True, True]
+    tail = np.abs(out[len(x) - 503 : len(x) - 3])
+    assert 0 < tail.max() < 2.0**-1022 and (tail == 0).sum() < 5
 
 
 def test_grid_function_validation():
