@@ -12,28 +12,28 @@ and a fresh `pathscape moments var-star --dim 1000000` peaks at 45 MiB RSS.
 Counts that outgrow a machine word are exact Python integers.  The
 hypercube pair profile, the count c_r of ordered path pairs whose shared
 nodes cut both paths into r blocks, is c_r = [z^L] W(z)^r with
-W(z) = sum_m B(m) C(2m-2, m-1) z^m.  It is computed modulo word-size
-primes and rebuilt by the Chinese remainder theorem:
+W(z) = sum_m B(m) C(2m-2, m-1) z^m.  It, and B(n) at L = n, are computed
+modulo word-size primes and rebuilt by the Chinese remainder theorem:
 
-- The weights are reduced modulo each prime as Python integers; every
-  prime is below 2^26, so each residue is an exact float64.
-- Every prime p has (L+1)(p-1)^2 < 2^53.  Each convolution and the final
-  matrix product sum at most L+1 non-negative products of residues, so
-  every partial sum is an exact float64 integer, whatever the BLAS
-  summation order or FMA use in the matrix product.  Float `%` of such a
-  value is an exact fmod, so every residue is exact.
-- The primes' product M exceeds 8^L L!, which bounds every c_r: B(m) <= m!
-  (B(m) counts a subset of the permutations), C(2m-2, m-1) <= 4^(m-1),
-  m_1! ... m_r! <= L! for any composition (the multinomial coefficient is
-  at least 1), and there are 2^(L-1) compositions of L.  So each product
-  of block weights is at most 4^L L! and c_r < 2^L 4^L L! = 8^L L!.
+- B(m) = m! - sum_{k<m} B(k) (m-k)! runs on residues mod p, and the
+  binomials are reduced mod p as Python integers.  Every prime is below
+  2^26, so each residue is an exact float64.
+- Every prime p has (L+1)(p-1)^2 < 2^53.  Each step of that recurrence,
+  each convolution and the final matrix product sum at most L+1
+  non-negative products of residues, so every partial sum is an exact
+  float64 integer, whatever the summation order or FMA use.  Float `%`
+  of such a value, or of a residue minus it, is exact.
+- The primes' product M exceeds 8^L L!, which bounds B(L) and every c_r:
+  B(m) <= m! (B(m) counts a subset of the permutations), C(2m-2, m-1)
+  <= 4^(m-1), m_1! ... m_r! <= L! for any composition (the multinomial
+  coefficient is at least 1), and L has 2^(L-1) compositions, so each
+  product of block weights is at most 4^L L! and c_r < 8^L L!.
 - The residue c_r mod M therefore is c_r: it is rebuilt as
   sum_p (c_r mod p) (M/p) ((M/p)^-1 mod p), reduced mod M.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -314,22 +314,24 @@ def pair_open_prob_hypercube(L: int, p: int, q: int, x: float) -> float:
     return float(math.exp(log_p))
 
 
-def _indecomposable_counts(n: int) -> list:
-    """B(0..n), with B(0) = 0 as padding, from one factorial list:
-    B(m) = m! - sum_{k<m} B(k) (m-k)!."""
-    fact = list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))
-    b = [0]
+def _indecomposable_residues(n: int, primes) -> np.ndarray:
+    """B(0..n) modulo each prime, one row per m and one column per prime,
+    with B(0) = 0 as padding: B(m) = m! - sum_{k<m} B(k) (m-k)! mod p."""
+    p = np.array(primes, dtype=float)
+    fact, b = np.ones((n + 1, p.size)), np.zeros((n + 1, p.size))
     for m in range(1, n + 1):
-        b.append(fact[m] - sum(map(operator.mul, b[1:m], fact[m - 1 : 0 : -1])))
+        fact[m] = fact[m - 1] * m % p
+        b[m] = (fact[m] - np.einsum("kp,kp->p", b[1:m], fact[m - 1 : 0 : -1])) % p
     return b
 
 
 def indecomposable_count(n: int) -> int:
     """B(n): permutations of n elements with no proper invariant prefix,
-    via the inversion of n! = sum_k B(k) (n-k)!."""
+    via the inversion of n! = sum_k B(k) (n-k)!, rebuilt from its residues."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _indecomposable_counts(n)[n]
+    primes = _crt_primes(n)
+    return _from_residues(_indecomposable_residues(n, primes)[n:].astype(np.int64), primes)[0]
 
 
 def _small_primes(n: int) -> list:
@@ -342,22 +344,22 @@ def _small_primes(n: int) -> list:
     return np.flatnonzero(sieve).tolist()
 
 
-def _crt_primes(L: int) -> tuple:
-    """Distinct primes, largest first, each with (L+1)(p-1)^2 < 2^53, whose
-    product exceeds 8^L L! (the bound on every pair count).
+def _crt_primes(n: int) -> tuple:
+    """Distinct primes, largest first, each with (n+1)(p-1)^2 < 2^53, whose
+    product exceeds 8^n n!, above B(n) and every pair count at L = n.
 
     They are taken downward from the largest admissible p by sieving
     windows of doubling width with the primes up to the square root of
     that p.  Every such p is below 2^26.
     """
-    bound = 8**L * math.factorial(L)
-    hi = math.isqrt((2**53 - 1) // (L + 1)) + 2  # window end, exclusive: p - 1 <= isqrt
+    bound = 8**n * math.factorial(n)
+    hi = math.isqrt((2**53 - 1) // (n + 1)) + 2  # window end, exclusive: p - 1 <= isqrt
     small = _small_primes(math.isqrt(hi))
     primes, product, width = [], 1, 1024
     while product <= bound:
         lo = max(2, hi - width)
         if lo >= hi:
-            raise ValueError(f"L = {L} needs more word-size primes than exist")
+            raise ValueError(f"n = {n} needs more word-size primes than exist")
         is_prime = np.ones(hi - lo, dtype=bool)
         for q in small:
             is_prime[max(q * q, -(-lo // q) * q) - lo :: q] = False
@@ -420,12 +422,11 @@ def _hypercube_pair_profile(L: int) -> tuple:
     """
     if L < 2:
         raise ValueError(f"L must be >= 2, got {L}")
-    b = _indecomposable_counts(L)
-    weights = [0] + [b[m] * math.comb(2 * m - 2, m - 1) for m in range(1, L + 1)]
     primes = _crt_primes(L)
+    combs = [0] + [math.comb(2 * m - 2, m - 1) for m in range(1, L + 1)]
     top = [
-        _top_coefficients_mod(np.array([v % p for v in weights], dtype=float), p, L)
-        for p in primes
+        _top_coefficients_mod(np.array([c % p for c in combs], dtype=float) * b % p, p, L)
+        for p, b in zip(primes, _indecomposable_residues(L, primes).T)
     ]
     return tuple(_from_residues(np.array(top).T.astype(np.int64), primes))
 

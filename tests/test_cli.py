@@ -164,6 +164,7 @@ def test_cascade_all_over_budget_exits_3(capsys, action):
         (["moments", "a-coeff", "--dim", "5", "--q", "9"], "--q must be"),
         (["moments", "pair-cube", "--dim", "6", "--p", "4", "--q", "1"], "--p must be"),
         (["moments", "bn", "--n", "0"], "--n must be"),
+        (["moments", "bn", "--n", "50000"], "--n = 50000 needs more word-size primes"),
         (["moments", "pair-tree", "--dim", "1"], "--dim must be >= 2"),
         (["moments", "second", "--dim", "1"], "--dim must be >= 2"),
         (["moments", "var-star", "--dim", "1"], "--dim must be >= 2"),
@@ -182,8 +183,9 @@ def test_cascade_all_over_budget_exits_3(capsys, action):
          "x-scaled-above-dim", "logscaled-above-one", "x-scaled-zero-dim", "logscaled-zero-dim",
          "limits-x-scaled-overflow", "limits-logscaled-overflow",
          "zero-budget", "zero-threads", "a-coeff-q-above-dim", "pair-cube-p-plus-q-above-dim",
-         "bn-zero-n", "pair-tree-dim-one", "second-dim-one", "var-star-dim-one",
-         "limits-dim-two", "pstar-bound-dim-one", "pexist-zero-levels", "fk-small-grid"],
+         "bn-zero-n", "bn-past-the-primes", "pair-tree-dim-one", "second-dim-one",
+         "var-star-dim-one", "limits-dim-two", "pstar-bound-dim-one", "pexist-zero-levels",
+         "fk-small-grid"],
 )
 def test_bad_invocation_exits_2_with_json_error(capsys, argv, names):
     code, records, err = _run(capsys, *argv)
@@ -216,7 +218,7 @@ def test_exact_integers_print_in_full_past_the_digit_cap(
     capsys, tmp_path, monkeypatch, int_digit_cap
 ):
     # B(1559) has 4303 digits and the pair count 4305; each is evaluated once,
-    # by the CLI (B(1559) takes seconds), and kept here
+    # by the CLI, and kept here
     returned = []
 
     def keep(kernel):

@@ -247,8 +247,8 @@ def _indecomposable_recursive(n: int) -> int:
 
 
 def test_indecomposable_matches_recursive_definition():
-    assert [indecomposable_count(n) for n in range(80, 0, -1)] == [
-        _indecomposable_recursive(n) for n in range(80, 0, -1)
+    assert [indecomposable_count(n) for n in range(300, 0, -1)] == [
+        _indecomposable_recursive(n) for n in range(300, 0, -1)
     ]
 
 
@@ -350,11 +350,13 @@ def test_crt_primes_cover_the_count_bound(L):
 
 @pytest.mark.parametrize("L", [2, 256, 1024])
 def test_float_residue_arithmetic_is_exact(L):
-    # The premise of moments._top_coefficients_mod, checked on this
-    # platform for the largest and smallest prime of _crt_primes(L): float
-    # % of an integer-valued float64 below 2^53 is the exact remainder, and
+    # The premise of moments._top_coefficients_mod and of the B recurrence
+    # in moments._indecomposable_residues, checked on this platform for the
+    # largest and smallest prime of _crt_primes(L): float % of an
+    # integer-valued float64 below 2^53 is the exact remainder, and
     # np.convolve of two rows of p - 1, the largest residues the bound
-    # (L+1)(p-1)^2 < 2^53 admits, is the exact integer convolution.
+    # (L+1)(p-1)^2 < 2^53 admits, is the exact integer convolution, as is
+    # the einsum over L such rows, one of them reversed as in the recurrence.
     rng = np.random.default_rng(53)
     # 0, then both ends and 2048 draws of every binade [2^e, 2^(e+1)) up to 2^53
     ends = [0] + [v for e in range(53) for v in (2**e, 2 ** (e + 1) - 1)]
@@ -366,6 +368,8 @@ def test_float_residue_arithmetic_is_exact(L):
         row = np.full(L + 1, p - 1.0)
         exact = [(min(k, 2 * L - k) + 1) * (p - 1) ** 2 for k in range(2 * L + 1)]
         assert np.convolve(row, row).tolist() == exact
+        rows = np.full((L, 2), p - 1.0)
+        assert np.einsum("kp,kp->p", rows, rows[::-1]).tolist() == [L * (p - 1) ** 2] * 2
 
 
 def test_pair_profile_rejects_one_step():
