@@ -26,7 +26,8 @@ import numpy as np
 
 from . import stats
 from .parallel import map_replicas
-from .rng import philox_stream
+from .rng import philox_replicas
+from .rng import philox_stream  # noqa: F401 -- perfbench/tracing.py wraps cascade.philox_stream
 from .tree import BudgetExceededError
 
 DEFAULT_ATOM_BUDGET = 10**7
@@ -66,7 +67,9 @@ def sample_cascade(params: CascadeParams, rng: np.random.Generator) -> CascadeSa
         # every stored position exceeds delta, so the relative threshold
         # delta/p is in (0, 1) and children below delta never materialize
         lam = np.log(positions / delta)
-        counts = rng.poisson(lam)
+        # one parent (always in generation 0) is drawn through the scalar
+        # path: the same draw, without the array path's checks of lam
+        counts = rng.poisson(lam[0], size=1) if len(lam) == 1 else rng.poisson(lam)
         total = int(counts.sum())
         atoms += total
         if atoms > params.atom_budget:
@@ -74,8 +77,8 @@ def sample_cascade(params: CascadeParams, rng: np.random.Generator) -> CascadeSa
                 f"atom budget {params.atom_budget} exhausted in cascade expansion"
             )
         bias += delta * len(positions)
-        parents = np.repeat(positions, counts)
-        scales = np.repeat(lam, counts)
+        parents = positions.repeat(counts)
+        scales = lam.repeat(counts)
         positions = parents * np.exp(-scales * rng.random(total))
     return CascadeSample(y=float(positions.sum()), atoms_visited=atoms, bias_bound=bias)
 
@@ -92,8 +95,8 @@ class CascadeBatch:
 def _cascade_chunk(params: CascadeParams, start: int, stop: int) -> np.ndarray:
     """Rows (y, bias_bound, atoms_visited) for replicas range(start, stop)."""
     out = np.empty((stop - start, 3))
-    for i, r in enumerate(range(start, stop)):
-        s = sample_cascade(params, philox_stream(params.seed, r))
+    for i, rng in enumerate(philox_replicas(params.seed, start, stop)):
+        s = sample_cascade(params, rng)
         out[i] = s.y, s.bias_bound, s.atoms_visited
     return out
 
@@ -150,7 +153,14 @@ def cascade_limit_check(
 
 @cache
 def _delta0_sup() -> float:
-    """sup over z >= 0 of (1+z)^3/z^2 * (1/(1+z) - exp(-z))."""
-    z = np.linspace(1e-6, 200.0, 400001)
-    d0 = (1.0 + z) ** 3 / z**2 * (1.0 / (1.0 + z) - np.exp(-z))
-    return float(d0.max())
+    """sup over z >= 0 of (1+z)^3/z^2 * (1/(1+z) - exp(-z)).
+
+    The max over 400001 grid points, taken block by block so that the
+    temporaries stay small (whole-grid ones would grow the heap by 7 MB)."""
+    grid = np.linspace(1e-6, 200.0, 400001)
+    sup = -np.inf
+    for i in range(0, len(grid), 1 << 13):
+        z = grid[i : i + (1 << 13)]
+        d0 = (1.0 + z) ** 3 / z**2 * (1.0 / (1.0 + z) - np.exp(-z))
+        sup = max(sup, float(d0.max()))
+    return sup

@@ -26,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -68,18 +69,74 @@ class HypercubeLandscape:
             raise ValueError("fitness array size must be 2^dim")
 
 
-def generate_hypercube(L: int, x: float, seed: int, replica: int = 0) -> HypercubeLandscape:
-    """Draw a seeded landscape; same (L, x, seed, replica) is bit-exact."""
+class Scratch:
+    """Arrays that a replica chunk reuses from one landscape or batch to the next.
+
+    ``take(name, shape, dtype)`` is a C-contiguous view of the first
+    prod(shape) entries of the flat buffer kept under (name, dtype).  A
+    buffer is allocated on first use, zero-filled when `zeroed` (its user
+    then restores every zero it overwrites), and replaced by a larger one
+    when a request outgrows it.  So once the first landscape has run, a
+    chunk allocates nothing of the cube's size.  Views of one name alias
+    each other: each name serves one purpose at a time.
+    """
+
+    def __init__(self):
+        self._bufs: dict = {}
+
+    def take(self, name: str, shape: tuple, dtype=np.float64, zeroed: bool = False) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._bufs.get((name, dtype))
+        if buf is None or buf.size < size:
+            buf = self._bufs[name, dtype] = (np.zeros if zeroed else np.empty)(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+def _check_params(L: int, x: float) -> None:
     if not 1 <= L <= DEFAULT_DIM_CAP:
         raise ValueError(f"dim must be in [1, {DEFAULT_DIM_CAP}], got {L}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must be in [0, 1], got {x}")
-    rng = philox_stream(seed, replica)
-    fitness = rng.random(1 << L)
+
+
+def generate_hypercube(L: int, x: float, seed: int, replica: int = 0) -> HypercubeLandscape:
+    """Draw a seeded landscape; same (L, x, seed, replica) is bit-exact."""
+    land = draw_landscape(L, x, philox_stream(seed, replica), Scratch())
+    land.fitness.setflags(write=False)
+    return land
+
+
+def draw_landscape(
+    L: int, x: float, rng: np.random.Generator, scratch: Scratch
+) -> HypercubeLandscape:
+    """The landscape drawn from `rng`: 2^L uniforms in ascending bitmask
+    order, then the two corners set.  Its values are the "draws" buffer of
+    `scratch`, valid until that buffer is reused."""
+    _check_params(L, x)
+    fitness = rng.random(out=scratch.take("draws", (1 << L,)))
     fitness[0] = x
     fitness[-1] = 1.0
-    fitness.setflags(write=False)
     return HypercubeLandscape(dim=L, origin_value=x, fitness=fitness)
+
+
+def batch_dp(L: int, x: float, rngs: Iterator, m: int, dtype, scratch: Scratch) -> np.ndarray:
+    """Open-path counts (int64) or existence (bool) of m landscapes, one
+    drawn from each of the next m generators of `rngs`, by one level DP.
+
+    Each landscape is drawn as generate_hypercube draws it, then the
+    values go into one (2^L, m) array, a column per landscape.  The
+    result equals count_open_paths or path_exists landscape by landscape:
+    the counts are exact integers, so summing R at a time changes nothing.
+    """
+    _check_params(L, x)
+    draws = scratch.take("draws", (m, 1 << L))
+    for row, rng in zip(draws, rngs):
+        rng.random(out=row)
+    f = scratch.take("batch", (1 << L, m))
+    np.copyto(f, draws.T)
+    f[0] = x
+    f[-1] = 1.0
+    return _level_dp(f, L, L, dtype, scratch=scratch)[0]
 
 
 @lru_cache(maxsize=4)
@@ -133,7 +190,9 @@ def _level_masks(L: int, k: int) -> np.ndarray:
     return np.concatenate(masks)
 
 
-def _level_dp(f: np.ndarray, L: int, k_max: int, dtype, reflect: bool = False) -> np.ndarray:
+def _level_dp(
+    f: np.ndarray, L: int, k_max: int, dtype, reflect: bool = False, scratch: Scratch | None = None
+) -> np.ndarray:
     """The level DP from 0...0 to the level-k_max nodes, masks ascending.
 
     In int64 it gives the open-prefix counts n_sigma; in bool, where sum
@@ -150,18 +209,42 @@ def _level_dp(f: np.ndarray, L: int, k_max: int, dtype, reflect: bool = False) -
     DP would, but for L >= 22 the message may name a higher overflowing
     level than the lowest.
 
+    `f` of shape (2^L, R) holds R landscapes, one per column: every array
+    of the DP then carries that trailing replica axis, the tables gather
+    whole rows of R values, and the result is (C(L, k_max), R).
+
     With `reflect`, the DP runs on the reflected cube -f[::-1] (see
-    _counts_to_top): each row is gathered from a reversed view of f and
-    negated in place, so the cube itself is never copied.
+    _counts_to_top): row i, tile node c of the reflected cube is row
+    rows - 1 - i, tile node 2^d - 1 - c of f, gathered and negated in
+    place, so the cube itself is never copied.
+
+    The values in tile level order and the counts come from `scratch`, a
+    fresh one unless the caller passes its own; so do a batch's gathers.
+    One landscape's gathers are fresh arrays, freed level by level: numpy
+    indexing beats np.take(out=) on one value per node, and the allocator
+    reuses their memory, so the page faults stay few.
     """
     d = min(L, _TILE_DIM)
     order, off, preds = _level_tables(d)
+    scratch = Scratch() if scratch is None else scratch
     cols = order[: off[min(k_max, d) + 1]]
-    F = [row[cols] for row in (f[::-1] if reflect else f).reshape(-1, 1 << d)]
+    tail = f.shape[1:]  # the replica axis of a batch, else ()
+    src = f.reshape(-1, 1 << d, *tail)
     if reflect:
-        F = [np.negative(fr, out=fr) for fr in F]
-    n = np.zeros((len(F), len(cols)), dtype=dtype)
+        src = src[::-1]
+        cols = np.subtract((1 << d) - 1, cols, out=scratch.take("cols", cols.shape, np.intp))
+    F = scratch.take("values", (len(src), len(cols), *tail))
+    for row, fr in zip(src, F):
+        np.take(row, cols, axis=0, out=fr, mode="clip")
+    if reflect:
+        np.negative(F, out=F)
+    n = scratch.take("counts", F.shape, dtype)
+    n[:, 0] = 0
     n[0, 0] = 1
+    if tail:  # one buffer per gather, sized for the largest tile level
+        size = max((p.size for p in preds[1 : min(k_max, d) + 1]), default=0) * math.prod(tail)
+        names = (("pred_values", np.float64), ("pred_open", bool), ("pred_counts", dtype))
+        gathers = [scratch.take(name, (size,), t) for name, t in names]
     out = []
     for r, (nr, fr) in enumerate(zip(n, F)):
         p = r.bit_count()
@@ -170,15 +253,21 @@ def _level_dp(f: np.ndarray, L: int, k_max: int, dtype, reflect: bool = False) -
             lvl = slice(off[t], off[t + 1])
             nh, fh = nr[lvl], fr[lvl]
             if t:
-                is_open = fb[preds[t]] < fh
-                c = nb[preds[t]]
+                if tail:  # rows of R values, gathered into the scratch buffers
+                    g, is_open, c = (b[: fh.size * t].reshape(t, *fh.shape) for b in gathers)
+                    np.take(fb, preds[t], axis=0, out=g, mode="clip")
+                    np.less(g, fh, out=is_open)
+                    np.take(nb, preds[t], axis=0, out=c, mode="clip")
+                else:  # one value per node: indexing is faster than np.take(out=)
+                    is_open = fb[preds[t]] < fh
+                    c = nb[preds[t]]
                 c *= is_open
                 c.sum(axis=0, dtype=dtype, out=nh)
                 # freed before the next level's gathers, which then reuse
                 # their memory instead of faulting in fresh pages
                 del is_open, c
             for q in rows_below:
-                nh += n[q, lvl] * (F[q][lvl] < fh)
+                nh += n[q, lvl] * (F[q, lvl] < fh)
             k = p + t + 1  # the level these counts feed
             if _GUARD_FROM_LEVEL <= k <= k_max and nh.max() > _I64_MAX // k:
                 raise PathCountOverflowError(f"path count overflow at level {k}")
@@ -188,12 +277,14 @@ def _level_dp(f: np.ndarray, L: int, k_max: int, dtype, reflect: bool = False) -
     return np.concatenate(out)
 
 
-def _counts_from_origin(f: np.ndarray, L: int, k_max: int) -> np.ndarray:
+def _counts_from_origin(
+    f: np.ndarray, L: int, k_max: int, scratch: Scratch | None = None
+) -> np.ndarray:
     """Open-prefix counts n_sigma of the level-k_max nodes."""
-    return _level_dp(f, L, k_max, np.int64)
+    return _level_dp(f, L, k_max, np.int64, scratch=scratch)
 
 
-def _counts_to_top(f: np.ndarray, L: int, k: int) -> np.ndarray:
+def _counts_to_top(f: np.ndarray, L: int, k: int, scratch: Scratch | None = None) -> np.ndarray:
     """Counts m_tau of open paths from each level-(L-k) node to 1...1.
 
     Reversing a path and negating every value maps these onto origin
@@ -202,57 +293,66 @@ def _counts_to_top(f: np.ndarray, L: int, k: int) -> np.ndarray:
     both of the fitness array and of each level.  Negation is exact, so
     the reflected cube has exactly the ties of f (1 - f would round).
     """
-    return _level_dp(f, L, k, np.int64, reflect=True)[::-1]
+    return _level_dp(f, L, k, np.int64, reflect=True, scratch=scratch)[::-1]
 
 
-def count_open_paths(land: HypercubeLandscape) -> int:
-    """Exact number of open paths from 0...0 to 1...1 (checked 64-bit)."""
-    return int(_counts_from_origin(land.fitness, land.dim, land.dim)[0])
+def count_open_paths(land: HypercubeLandscape, scratch: Scratch | None = None) -> int:
+    """Exact number of open paths from 0...0 to 1...1 (checked 64-bit).
+
+    A replica loop passes one `scratch` for all its landscapes."""
+    return int(_counts_from_origin(land.fitness, land.dim, land.dim, scratch)[0])
 
 
-def path_exists(land: HypercubeLandscape) -> bool:
+def path_exists(land: HypercubeLandscape, scratch: Scratch | None = None) -> bool:
     """True iff an open path exists: the DP on booleans, which cannot overflow."""
-    return bool(_level_dp(land.fitness, land.dim, land.dim, bool)[0])
+    return bool(_level_dp(land.fitness, land.dim, land.dim, bool, scratch=scratch)[0])
 
 
 @lru_cache(maxsize=8)
-def _comparable_pairs(L: int, k: int) -> np.ndarray:
-    """Flat positions in the (C(L, k), C(L, k)) matrix of the comparable
-    pairs sigma subset of tau, sigma on level k and tau on level L - k.
+def _comparable_pairs(L: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in the (C(L, k), C(L, k)) matrix of the comparable pairs
+    sigma subset of tau, sigma on level k and tau on level L - k: flat,
+    and by column.
 
-    Row i lists, ascending, i * C(L, k) + j for every superset tau_j of
-    sigma_i; each sigma has C(L - k, k) of them.  Read-only: the cache
-    shares it.
+    Row i of both lists, ascending, the supersets tau_j of sigma_i; each
+    sigma has C(L - k, k) of them.  The flat position is i * C(L, k) + j,
+    the column j.  Read-only: the cache shares them.
     """
     sig = _level_masks(L, k)
     not_tau = ~_level_masks(L, L - k)
-    row_start = np.arange(0, len(sig) ** 2, len(sig))
-    flat = np.stack([r + np.flatnonzero((s & not_tau) == 0) for r, s in zip(row_start, sig)])
-    flat.setflags(write=False)
-    return flat
+    col = np.stack([np.flatnonzero((s & not_tau) == 0) for s in sig])
+    flat = col + np.arange(0, len(sig) ** 2, len(sig))[:, None]
+    for arr in (flat, col):
+        arr.setflags(write=False)
+    return flat, col
 
 
-def theta_k_hypercube(land: HypercubeLandscape, k: int) -> float:
+def theta_k_hypercube(land: HypercubeLandscape, k: int, scratch: Scratch | None = None) -> float:
     """Conditional expectation of the path count given the first k levels
     seen from both corners.
 
     Sums n_sigma * m_tau * (L-2k) * (1 - y_tau - x_sigma)^(L-2k-1) over
     comparable pairs (sigma subset of tau) with x_sigma + y_tau < 1,
-    where y_tau = 1 - value(tau).
+    where y_tau = 1 - value(tau).  The weight matrix comes from
+    `scratch`, which keeps it zero between calls: only the entries written
+    are reset.
     """
     L = land.dim
     if not 0 <= 2 * k < L:
         raise ValueError(f"k must be in [0, {(L - 1) // 2}] (2k < dim), got {k}")
-    n = _counts_from_origin(land.fitness, L, k).astype(float)
-    m = _counts_to_top(land.fitness, L, k).astype(float)
+    scratch = Scratch() if scratch is None else scratch
+    n = _counts_from_origin(land.fitness, L, k, scratch).astype(float)
+    m = _counts_to_top(land.fitness, L, k, scratch).astype(float)
     xs = land.fitness[_level_masks(L, k)]
     ys = 1.0 - land.fitness[_level_masks(L, L - k)]
-    flat = _comparable_pairs(L, k)
-    ns = len(xs)
-    row_start = np.arange(0, ns * ns, ns)[:, None]
-    base = (1.0 - xs)[:, None] - ys[flat - row_start]
-    ok = base > 0.0  # a tie blocks: base 0 weighs 0, also at exponent 0
-    w = np.zeros((ns, ns))
-    w.ravel()[flat[ok]] = (L - 2 * k) * base[ok] ** (L - 2 * k - 1)
-    return float(n @ w @ m)
+    flat, col = _comparable_pairs(L, k)
+    base = (1.0 - xs)[:, None] - ys[col]
+    # a tie blocks: base 0 weighs 0, also at exponent 0
+    ok = np.flatnonzero(base > 0.0)
+    at = flat.ravel()[ok]
+    w = scratch.take("weights", (len(xs), len(xs)), zeroed=True)
+    w.ravel()[at] = (L - 2 * k) * base.ravel()[ok] ** (L - 2 * k - 1)
+    theta = float(n @ w @ m)
+    w.ravel()[at] = 0.0
+    return theta
 

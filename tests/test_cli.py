@@ -306,10 +306,11 @@ def test_kernel_error_inside_a_battery_names_no_flag(capsys, monkeypatch, kernel
 
 def test_path_count_overflow_exits_2(capsys, monkeypatch):
     # seeded landscapes cannot reach a count above 2^63, so fake the raise
-    def overflow(land):
+    # in the batched DP that counts cubes this small
+    def overflow(*args, **kwargs):
         raise hypercube.PathCountOverflowError("path count overflow at level 21")
 
-    monkeypatch.setattr(hypercube, "count_open_paths", overflow)
+    monkeypatch.setattr(hypercube, "batch_dp", overflow)
     code, records, err = _run(capsys, "hypercube", "count", "--dim", "4", "--threads", "1")
     assert code == 2
     assert records == []

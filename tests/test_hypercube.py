@@ -465,6 +465,94 @@ def test_level_dp_working_set_is_bounded():
         assert peak <= bound
 
 
+def _stacked(lands) -> np.ndarray:
+    """The (2^L, R) array of R landscapes, one per column."""
+    return np.stack([land.fitness for land in lands], axis=1)
+
+
+@pytest.mark.parametrize("tile_dim", [hypercube._TILE_DIM, 3])
+def test_level_dp_on_stacked_landscapes_matches_one_at_a_time(monkeypatch, tile_dim):
+    # a tile dimension of 3 sends most of these cubes through the rows below
+    monkeypatch.setattr(hypercube, "_TILE_DIM", tile_dim)
+    for L in range(1, 9):
+        raw = [generate_hypercube(L, 0.1 * (r % 3), SEED, replica=r) for r in range(4)]
+        lands = raw + [_tied(land) for land in raw]
+        f = _stacked(lands)
+        for k in range(L + 1):
+            for dtype, reflect in itertools.product((np.int64, bool), (False, True)):
+                got = hypercube._level_dp(f, L, k, dtype, reflect=reflect)
+                assert got.dtype == dtype
+                expect = [hypercube._level_dp(g.fitness, L, k, dtype, reflect) for g in lands]
+                assert np.array_equal(got, np.stack(expect, axis=1))
+
+
+@pytest.mark.parametrize("x", [0.0, 0.1, 1.0])
+def test_batched_driver_matches_one_landscape_at_a_time(monkeypatch, x):
+    # R = 3 landscapes per DP call, 7 replicas from replica 5 on: two full
+    # batches and a short one, keyed from a chunk start other than 0
+    for L in range(1, mc._BATCH_MAX_DIM + 1):
+        monkeypatch.setattr(mc, "_BATCH_VALUES", 3 << L)
+        lands = [generate_hypercube(L, x, SEED, replica=r) for r in range(5, 12)]
+        counts = mc._cube_batches(np.int64, L, x, SEED, 5, 12)
+        hits = mc._cube_batches(bool, L, x, SEED, 5, 12)
+        assert counts.tolist() == [count_open_paths(land) for land in lands]
+        assert hits.tolist() == [path_exists(land) for land in lands]
+
+
+def test_batch_size_and_crossover_leave_batches_unchanged():
+    # at the module's own R (32 at L = 12, 4 at L = 15) and one landscape per
+    # call above the crossover
+    for L, n in ((12, 37), (15, 6), (16, 3)):
+        lands = [generate_hypercube(L, 1 / L, SEED, replica=r) for r in range(n)]
+        assert mc.hypercube_theta_batch(L, 1 / L, SEED, n).tolist() == [
+            count_open_paths(land) for land in lands
+        ]
+        assert mc.hypercube_exists_batch(L, 1 / L, SEED, n).tolist() == [
+            path_exists(land) for land in lands
+        ]
+
+
+@pytest.mark.parametrize("L", [8, 12])
+def test_batches_independent_of_threads(L):
+    # two chunks of 29 and 30 replicas: neither starts or ends on a batch edge
+    n = 59
+    for batch in (mc.hypercube_theta_batch, mc.hypercube_exists_batch):
+        assert np.array_equal(batch(L, 0.1, SEED, n, threads=1), batch(L, 0.1, SEED, n, threads=2))
+    one = mc.hypercube_theta_k_batch(L, 0.1, 3, SEED, n, threads=1)
+    assert np.array_equal(one, mc.hypercube_theta_k_batch(L, 0.1, 3, SEED, n, threads=2))
+
+
+def test_theta_k_leaves_its_weight_matrix_zero():
+    # k = 1 last: it reuses a prefix of the k = 3 matrix
+    scratch = hypercube.Scratch()
+    land = generate_hypercube(9, 0.1, SEED, replica=1)
+    for k, largest in ((1, 1), (2, 2), (3, 3), (1, 3)):
+        assert theta_k_hypercube(land, k, scratch) == theta_k_hypercube(land, k)
+        assert not scratch.take("weights", (math.comb(9, largest) ** 2,)).any()
+
+
+@pytest.mark.parametrize("L", [8, 12])
+def test_batched_driver_working_set_is_bounded(L):
+    # cold, tables included: four arrays of 2^17 values (the draws, their
+    # transpose, the values in level order, the counts), the largest
+    # level's gathers for R = 2^17 >> L landscapes, whatever the sample
+    # count, and 128 KB for numpy's casting buffers
+    R = 2**17 >> L
+    _level_tables.cache_clear()
+    order, _, preds = _level_tables(L)
+    tables = order.nbytes + sum(t.nbytes for t in preds)
+    gathers = max(t.size for t in preds) * R * (8 + 1 + 8)
+    bound = 4 * 8 * 2**17 + gathers + tables + 2**17
+    _level_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        mc.hypercube_theta_batch(L, 0.1, SEED, 3 * R + 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
 def test_counts_to_top_does_not_copy_the_cube():
     # warm tables, k = 1: both corners gather a few values per row, and the
     # top corner reads the reflected cube through a reversed view of f
