@@ -156,7 +156,7 @@ def _delta0_sup() -> float:
     """sup over z >= 0 of (1+z)^3/z^2 * (1/(1+z) - exp(-z)).
 
     The max over 400001 grid points, taken block by block so that the
-    temporaries stay small (whole-grid ones would grow the heap by 7 MB)."""
+    temporaries stay small: whole-grid ones would grow the heap."""
     grid = np.linspace(1e-6, 200.0, 400001)
     sup = -np.inf
     for i in range(0, len(grid), 1 << 13):

@@ -108,6 +108,15 @@ def _resolve_x(args) -> float:
     return args.x if args.x is not None else 0.0
 
 
+def _check_finite(args) -> None:
+    """Every float flag is finite, used by its action or not: the record
+    carries it, and strict JSON has no nan or inf."""
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = "--X-scaled" if dest == "x_scaled" else f"--{dest}"
+            raise ValueError(f"{flag} must be finite, got {value}")
+
+
 def _sample_stats(values, key: str) -> dict:
     """{key: value} for one replica, the moment summary for more."""
     if len(values) == 1:
@@ -202,7 +211,7 @@ def _cmd_tree(args):
 def _cmd_moments(args):
     a = args.action
     if a != "bn" and args.dim is None:
-        raise ValueError(f"moments {a} requires --dim")
+        raise ValueError(f"--dim is required by moments {a}")
     if a == "first":
         x = _resolve_x(args)
         return {"mean": moments.expected_paths(args.dim, x)}
@@ -222,7 +231,7 @@ def _cmd_moments(args):
         elif args.x_scaled is not None:
             sm = moments.scaled_limits(args.dim, args.x_scaled, moments.REGIME_X_OVER_L)
         else:
-            raise ValueError("limits requires --X-scaled or --logscaled")
+            raise ValueError("--X-scaled or --logscaled is required by limits")
         return asdict(sm)
     if a == "a-coeff":
         return {
@@ -413,6 +422,7 @@ def run(argv=None) -> int:
         # streams key on the seed's 64 bits: a wider seed would alias another
         if not 0 <= args.seed < 2**64:
             raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
+        _check_finite(args)
         if args.group == "verify":
             code = _cmd_verify(args, records)
         else:
@@ -439,7 +449,7 @@ def run(argv=None) -> int:
                 try:
                     _write_csv(args.csv, records)
                 except OSError as exc:
-                    raise ValueError(f"cannot write --csv: {exc}") from exc
+                    raise ValueError(f"--csv cannot be written: {exc}") from exc
         finally:
             if cap:
                 sys.set_int_max_str_digits(cap)

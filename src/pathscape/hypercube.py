@@ -12,9 +12,8 @@ read-only level-order table set of the d-cube, 4.5 MB at d = 16 whatever
 L, and adds element by element the counts of each row one bit below it
 (the same tile node with one row bit cleared).  Beyond the tables the DP
 holds the values gathered into tile level order and the counts, 8 * 2^L
-bytes each.  A first count in a fresh process peaks at 64 MB RSS at
-L = 20 and 425 MB at L = 24.  Counts to the top corner run the same DP on
-the reflected cube, and existence runs it on booleans.
+bytes each.  Counts to the top corner run the same DP on the reflected
+cube, and existence runs it on booleans.
 
 Ties in fitness are treated as blocking (strict inequality), a
 probability-zero event under the continuous model but deterministic.
@@ -26,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -101,41 +100,37 @@ def _check_params(L: int, x: float) -> None:
 
 def generate_hypercube(L: int, x: float, seed: int, replica: int = 0) -> HypercubeLandscape:
     """Draw a seeded landscape; same (L, x, seed, replica) is bit-exact."""
-    land = draw_landscape(L, x, philox_stream(seed, replica), Scratch())
-    land.fitness.setflags(write=False)
-    return land
-
-
-def draw_landscape(
-    L: int, x: float, rng: np.random.Generator, scratch: Scratch
-) -> HypercubeLandscape:
-    """The landscape drawn from `rng`: 2^L uniforms in ascending bitmask
-    order, then the two corners set.  Its values are the "draws" buffer of
-    `scratch`, valid until that buffer is reused."""
-    _check_params(L, x)
-    fitness = rng.random(out=scratch.take("draws", (1 << L,)))
-    fitness[0] = x
-    fitness[-1] = 1.0
+    fitness = draw_landscapes(L, x, (philox_stream(seed, replica),), 1, Scratch())[0]
+    fitness.setflags(write=False)
     return HypercubeLandscape(dim=L, origin_value=x, fitness=fitness)
+
+
+def draw_landscapes(L: int, x: float, rngs: Iterable, m: int, scratch: Scratch) -> np.ndarray:
+    """The values of m landscapes, one drawn from each of the next m
+    generators of `rngs`: row i holds 2^L uniforms in ascending bitmask
+    order, then the two corners set.  The (m, 2^L) array is the "draws"
+    buffer of `scratch`, valid until that buffer is reused."""
+    _check_params(L, x)
+    draws = scratch.take("draws", (m, 1 << L))
+    for row, rng in zip(draws, rngs):
+        rng.random(out=row)
+    draws[:, 0] = x
+    draws[:, -1] = 1.0
+    return draws
 
 
 def batch_dp(L: int, x: float, rngs: Iterator, m: int, dtype, scratch: Scratch) -> np.ndarray:
     """Open-path counts (int64) or existence (bool) of m landscapes, one
     drawn from each of the next m generators of `rngs`, by one level DP.
 
-    Each landscape is drawn as generate_hypercube draws it, then the
-    values go into one (2^L, m) array, a column per landscape.  The
-    result equals count_open_paths or path_exists landscape by landscape:
-    the counts are exact integers, so summing R at a time changes nothing.
+    The landscapes go into one (2^L, m) array, a column per landscape.
+    The result equals count_open_paths or path_exists landscape by
+    landscape: the counts are exact integers, so summing R at a time
+    changes nothing.
     """
-    _check_params(L, x)
-    draws = scratch.take("draws", (m, 1 << L))
-    for row, rng in zip(draws, rngs):
-        rng.random(out=row)
+    draws = draw_landscapes(L, x, rngs, m, scratch)
     f = scratch.take("batch", (1 << L, m))
     np.copyto(f, draws.T)
-    f[0] = x
-    f[-1] = 1.0
     return _level_dp(f, L, L, dtype, scratch=scratch)[0]
 
 
@@ -219,10 +214,10 @@ def _level_dp(
     place, so the cube itself is never copied.
 
     The values in tile level order and the counts come from `scratch`, a
-    fresh one unless the caller passes its own; so do a batch's gathers.
-    One landscape's gathers are fresh arrays, freed level by level: numpy
-    indexing beats np.take(out=) on one value per node, and the allocator
-    reuses their memory, so the page faults stay few.
+    fresh one unless the caller passes its own; so do a batch's gathers,
+    which np.take(out=) fills.  One landscape's gathers are the fresh
+    arrays of numpy indexing, the faster gather on one value per node,
+    freed level by level so that the allocator reuses their memory.
     """
     d = min(L, _TILE_DIM)
     order, off, preds = _level_tables(d)
@@ -258,7 +253,7 @@ def _level_dp(
                     np.take(fb, preds[t], axis=0, out=g, mode="clip")
                     np.less(g, fh, out=is_open)
                     np.take(nb, preds[t], axis=0, out=c, mode="clip")
-                else:  # one value per node: indexing is faster than np.take(out=)
+                else:  # one value per node, by numpy indexing
                     is_open = fb[preds[t]] < fh
                     c = nb[preds[t]]
                 c *= is_open

@@ -21,9 +21,9 @@ from .parallel import map_replicas
 from .rng import derive_seed  # noqa: F401 -- perfbench/tracing.py wraps mc.derive_seed
 from .rng import philox_replicas
 
-# Values per batched DP call: R = _BATCH_VALUES >> L landscapes.  Measured
-# on one core, batches took 0.5-0.8 of the CPU of one landscape per call up
-# to L = 15 (R = 4), and 1.08 at L = 16 (R = 2).
+# Values per batched DP call: R = _BATCH_VALUES >> L landscapes.  Batches
+# stop at L = 15 (R = 4): at L = 16 (R = 2) one costs more CPU than one
+# landscape per call.
 _BATCH_VALUES = 1 << 17
 _BATCH_MAX_DIM = 15
 
@@ -32,8 +32,10 @@ def _cube_chunk(fn, dtype, L, x, seed, args, start, stop):
     """fn(landscape, *args) for each replica in range(start, stop)."""
     out = np.empty(stop - start, dtype=dtype)
     scratch = hypercube.Scratch()
-    for i, rng in enumerate(philox_replicas(seed, start, stop)):
-        out[i] = fn(hypercube.draw_landscape(L, x, rng, scratch), *args, scratch=scratch)
+    rngs = philox_replicas(seed, start, stop)
+    for i in range(len(out)):
+        fitness = hypercube.draw_landscapes(L, x, rngs, 1, scratch)[0]
+        out[i] = fn(hypercube.HypercubeLandscape(L, x, fitness), *args, scratch=scratch)
     return out
 
 

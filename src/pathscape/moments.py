@@ -6,8 +6,7 @@ x = X/L scaling regimes keep full precision near x = 0.  Log-gamma of an
 integer is `_lgamma_int`, a port of the cephes `lgam` behind
 `scipy.special.gammaln` that returns its bits, so this module needs
 numpy only.  A large-L tree moment holds the cached ln a(L,q) table plus
-one scratch array of L-1 floats, worked in place: 16 MB at L = 10^6,
-and a fresh `pathscape moments var-star --dim 1000000` peaks at 45 MiB RSS.
+one scratch array of L-1 floats, worked in place: 16 MB at L = 10^6.
 
 Counts that outgrow a machine word are exact Python integers.  The
 hypercube pair profile, the count c_r of ordered path pairs whose shared

@@ -16,25 +16,9 @@ cubic-corrected trapezoid integration, suffix accumulation):
   analytic limit 1.
 
 The first two share one kernel, `_deficit_sweeps`, which iterates on the
-deficit d = 1 - G (or p itself).  Where log d drops below
-_TAIL_GRAFT_LOG = -575 the update is exactly linear and d is a closed
-form, so each sweep computes d numerically only on the window
-x < ~575/size and keeps the rest as the formula.  The suffix integral
-over the window still needs that closed-form tail.  Summed cell by cell
-out to the exact underflow of exp (log < _UNDERFLOW_LOG = -746, a fact
-of IEEE doubles), past which every value and every cell is an exact
-zero, it gives the whole grid's sums bit for bit.  Most sweeps stop
-short of the tail's subnormal band: they bound what the cells left out
-can add by +-sigma and run the suffix sums from both ends of that
-range.  Rounding is monotone, so where the two agree on the window, so
-do the full tail's sums (see _deficit_sweeps).  For p(x, 10^4) a sweep
-touches 22 % of the grid on average.  Within the window the update d = -expm1(size * log1p(-D)) is also
-exactly linear wherever y = fl(size * D) < _LINEAR_BOUND = 2^-54: D <= y,
-and a correctly rounded log1p(t) or expm1(t) returns t itself for
-|t| < 2^-54, so the formula yields y bit for bit and only the head of
-the window up to the last point with y >= 2^-54 takes the
-transcendentals.  Each sweep runs in place on buffers allocated once
-per call, and the output is bit-identical to the full-grid loops.
+deficit d = 1 - G (or p itself).  It sweeps numerically only the window
+of the grid where d is not an exact closed form, and its output is
+bit-identical to sweeping the whole grid.
 
 Accuracy is auditable by grid doubling rather than adaptive meshing.
 """
@@ -140,10 +124,6 @@ _NORMAL_LOG = math.log(2.0**-1022)
 #: not a tolerance (tests check the libm premise on every such binade).
 _LINEAR_BOUND = 2.0**-54
 
-#: Sizes whose bounds m, k and Q share one searchsorted call; bounds for
-#: all L sizes at once would hold lists of L Python ints and floats.
-_SIZE_BLOCK = 64
-
 
 def _dropped_cells_bound(count: int, c: float, f_first: float) -> float:
     """sigma: how far from zero the rounded suffix sum of `count` cells
@@ -167,77 +147,69 @@ def _dropped_cells_bound(count: int, c: float, f_first: float) -> float:
 
 def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
     """Tabulate d_L on x in [0, 1], where d_1 = a0 and
-    d_size = 1 - (1 - int_x^1 d_{size-1} dy)^size for size = 2..L.
+    d_size = 1 - (1 - int_x^1 d_{size-1} dy)^size for size = 2..L,
+    bit for bit as sweeps over the whole grid would.
 
-    The closed form a0*size*(1-x)^(size-1) replaces d_size wherever its
-    log is below _TAIL_GRAFT_LOG, which is a suffix of the grid, so only
-    the window 0..m before it is swept (see the module docstring).  On
-    the window, each point where y = size*clip(D, 0, 1) < _LINEAR_BOUND
-    keeps y, which is what log1p/expm1 round to there; the
-    transcendentals run on the head up to the last point with
-    y >= _LINEAR_BOUND, found by a mask, since D need not decrease.
+    Graft.  Where the closed form a0*size*(1-x)^(size-1) has log below
+    _TAIL_GRAFT_LOG, the update is exactly linear and d_size is that
+    closed form, which each sweep writes in log space; past the exact
+    underflow of exp (log < _UNDERFLOW_LOG, a fact of IEEE doubles) every
+    value and every cell is an exact zero.  The graft holds on a suffix
+    of the grid, so only the window 0..m before it is swept.  Its suffix
+    sums still need the tail of d_{size-1}, cell by cell out to the last
+    nonzero point k.
 
-    Each sweep first tries to leave out the subnormal band of the tail
-    of d_{size-1} (held in f), where exp and the cell arithmetic run up
-    to 80x slower.  Q is the first tail point whose log is below
+    Subnormal cut.  Each sweep first tries to leave out the subnormal
+    band of that tail (held in f), where exp and the cell arithmetic run
+    up to 80x slower.  Q is the first tail point whose log is below
     ln(2^-1022/h) + 1, so the cells left of it, about h*f, are normal.
     The tail is written up to Q + 1 and only cells 0..Q-1 are computed;
     the rounded sum of the cells Q..cells-1 left out is within sigma
-    (_dropped_cells_bound) of zero.  fl(a + s) is nondecreasing in
-    a, so the full tail's suffix sums lie between two chains over cells
+    (_dropped_cells_bound) of zero.  fl(a + s) is nondecreasing in a,
+    so the full tail's suffix sums lie between two chains over cells
     Q-1..0: one from -sigma into D, one from +sigma down to index m + 1
     into the scratch for 13 f.  Where the chains meet at m + 1 with a
     nonzero value, the true sum has those bits there, and every sum
     below repeats the same roundings from it, so D[0..m] is exactly
     what the full tail gives.  Where they do not meet, the sweep is
     redone on the full tail out to k.  Size 2 (d_1 is the constant a0,
-    no tail to cut) and every sweep where Q is within one point of
-    either window, or not below k, take the full tail at once.  The
-    output's own tail, subnormals included, is written once at the end.
+    no tail to cut: k = grid_n, Q = 0) and every sweep where Q is within
+    one point of either window, or not below k, take the full tail at
+    once.  The output's own tail, subnormals included, is written once
+    at the end.
 
-    m, k and Q come from one searchsorted per threshold and block of
-    _SIZE_BLOCK sizes, each guess stepped to the exact float predicate.
+    Linear head.  On the window, each point where y = size*clip(D, 0, 1)
+    < _LINEAR_BOUND keeps y, which is what log1p and expm1 round to
+    there.  The transcendentals run on the head up to the last point
+    with y >= _LINEAR_BOUND, found by a mask, since D need not decrease.
+
+    Bounds.  m, k and Q - 1 are each the last index i with
+    log(a0*s) + (s-1)*log1p(-x_i) >= floor: s = size for m, s = size - 1
+    for k and Q, and floor _TAIL_GRAFT_LOG, _UNDERFLOW_LOG and the
+    subnormal floor.  In exact arithmetic that index is
+    floor(grid_n * -expm1((floor - log(a0*s))/(s-1))), and none (-1)
+    when floor > log(a0*s).  Two loops step that guess to the float
+    predicate, which is monotone in i, so the result does not depend on
+    the guess.
     """
     h = 1.0 / grid_n
     c = h / 24.0
     xs = np.linspace(0.0, 1.0, grid_n + 1)
     with np.errstate(divide="ignore"):
         log1mx = np.log1p(-xs)
-    neg_log1mx = -log1mx  # ascending, for searchsorted
     # left of the first tail point below this log, the cells are normal
     q_floor = _NORMAL_LOG - math.log(h) + 1.0
 
-    def last_at_least(sizes, floor):
-        # Per size, the last index i whose tail log
-        # log(a0*size) + (size-1)*log1mx[i] is >= floor (-1 if none): one
-        # searchsorted for the block, then each guess stepped to that
-        # exact float predicate, in Python floats (the same IEEE
-        # operations as on numpy scalars, at a fraction of the cost)
-        logs = [math.log(a0 * s) for s in sizes]
-        keys = [(la - floor) / (s - 1) for la, s in zip(logs, sizes)]
-        found = []
-        for la, s, i in zip(logs, sizes, np.searchsorted(neg_log1mx, keys, "right").tolist()):
+    def last_at_least(la, s, floor):
+        # the last index i with la + (s-1)*log1mx[i] >= floor, la = log(a0*s)
+        if floor > la:
+            return -1
+        i = int(grid_n * -math.expm1((floor - la) / (s - 1)))
+        while i < grid_n and la + (s - 1) * log1mx.item(i + 1) >= floor:
+            i += 1
+        while i >= 0 and not la + (s - 1) * log1mx.item(i) >= floor:
             i -= 1
-            while i < grid_n and la + (s - 1) * log1mx.item(i + 1) >= floor:
-                i += 1
-            while i >= 0 and not la + (s - 1) * log1mx.item(i) >= floor:
-                i -= 1
-            found.append(i)
-        return found
-
-    def bounds():
-        # (size, m, k, Q) for size = 2..L, a block of sizes at a time.
-        # d_{size-1} is nonzero at most on 0..k, and k >= m.  d_1 is the
-        # constant a0: size 2 sums it over the whole grid (k = grid_n)
-        # and takes no cut (Q = 0).
-        for lo in range(2, L + 1, _SIZE_BLOCK):
-            sizes = range(lo, min(lo + _SIZE_BLOCK, L + 1))
-            prev = range(max(lo - 1, 2), sizes.stop - 1)
-            ks = last_at_least(prev, _UNDERFLOW_LOG)
-            qs = [q + 1 for q in last_at_least(prev, q_floor)]
-            if lo == 2:
-                ks, qs = [grid_n] + ks, [0] + qs
-            yield from zip(sizes, last_at_least(sizes, _TAIL_GRAFT_LOG), ks, qs)
+        return i
 
     # f holds d_{size-1}: swept values on 0..w-1, then the closed-form
     # tail.  The three other buffers are scratch for one sweep.
@@ -245,17 +217,25 @@ def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
     f13, seg, D = np.empty(grid_n + 4), np.empty(grid_n + 4), np.empty(grid_n + 4)
     w = grid_n + 1
 
-    def write_tail(size, lo, hi):
-        # f[lo:hi] = exp(log(a0*size) + (size-1)*log1mx[lo:hi]), in place
-        t = np.multiply(log1mx[lo:hi], size - 1, out=f[lo:hi])
-        np.add(t, math.log(a0 * size), out=t)
+    def write_tail(la, s, lo, hi):
+        # f[lo:hi] = exp(la + (s-1)*log1mx[lo:hi]), la = log(a0*s), in place
+        t = np.multiply(log1mx[lo:hi], s - 1, out=f[lo:hi])
+        np.add(t, la, out=t)
         np.exp(t, out=t)
 
+    la = math.log(a0)
     with np.errstate(divide="ignore"):
-        for size, m, k, q in bounds():
+        for size in range(2, L + 1):
+            la_prev, la = la, math.log(a0 * size)
+            m = last_at_least(la, size, _TAIL_GRAFT_LOG)
             if m < 0:
                 w = 0
                 continue
+            if size == 2:
+                k, q = grid_n, 0
+            else:
+                k = last_at_least(la_prev, size - 1, _UNDERFLOW_LOG)
+                q = last_at_least(la_prev, size - 1, q_floor) + 1
             if k >= grid_n - 3:
                 n, cells = grid_n + 1, grid_n
             else:
@@ -265,13 +245,13 @@ def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
             # the cut at q, then (if its chains did not meet) the full tail
             for top in (q, k) if max(w, m + 1) + 1 < q < k else (k,):
                 if top == k:
-                    write_tail(size - 1, w, k + 1)
+                    write_tail(la_prev, size - 1, w, k + 1)
                     f[k + 1 : n] = 0.0
                     _segment_integrals(f[:n], h, seg, f13)
                     # suffix sums D[i] = seg[cells-1] + ... + seg[i], in that order
                     np.add.accumulate(seg[cells - 1 :: -1], out=D[cells - 1 :: -1])
                     break
-                write_tail(size - 1, w, q + 2)
+                write_tail(la_prev, size - 1, w, q + 2)
                 # cells 0..q-1; the slice's one-sided last cell q is
                 # overwritten by each chain's starting value
                 _segment_integrals(f[: q + 2], h, seg, f13)
@@ -296,7 +276,7 @@ def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
             np.multiply(t, size, out=t)
             np.expm1(t, out=t)
             np.negative(t, out=f[:b])
-    write_tail(L, w, grid_n + 1)
+    write_tail(la, L, w, grid_n + 1)
     return f[: grid_n + 1]
 
 
@@ -322,14 +302,10 @@ def tree_gf(lam: float, L: int, grid_n: int) -> GridFunction:
     # them; that deficit compounds sweep over sweep and the dead zone
     # propagates leftward until it reaches the x ~ 1/L layer (visible as
     # a sharp breakdown once L is in the thousands).  Where the deficit
-    # is that small the update linearizes exactly (d ~ size * D, relative
-    # corrections of order D), and the linearized sweep maps
-    # c*lam*n*(1-x)^(n-1) to c*lam*(n+1)*(1-x)^n, so the tail is known in
-    # closed form.  Grafting that closed form wherever its log is below
-    # _TAIL_GRAFT_LOG stops the error wave at its source, and leaves only
-    # the window x < ~575/size to sweep numerically; _deficit_sweeps
-    # evaluates the tail in log space out to the exact underflow of exp
-    # (log < _UNDERFLOW_LOG), past which it is a true zero.
+    # is that small the update linearizes exactly, and the linearized
+    # sweep maps c*lam*n*(1-x)^(n-1) to c*lam*(n+1)*(1-x)^n, so
+    # _deficit_sweeps grafts that closed form there, which stops the
+    # error wave at its source.
     c = -math.expm1(-lam) / lam
     d = _deficit_sweeps(c * lam, L, grid_n)
     return GridFunction(0.0, 1.0, 1.0 - d)
@@ -427,7 +403,14 @@ def delta_bound_check(k_max: int, z_max: float, grid_n: int) -> DeltaBoundReport
     sel = zs >= z_min
     z = zs[sel]
     limit = 1.0 / (1.0 + z)
-    amp = (1.0 + z) ** 3 / z**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp = (1.0 + z) ** 3 / z**2
+    if not np.isfinite(amp).all():
+        raise ValueError(f"z_max = {z_max} makes the amplitude (1+z)^3/z^2 overflow on the grid")
+    # |delta_k - M| <= 2^(k_max+1) * max(amp) for every k: refuse a k_max at which
+    # that bound, a power of two times a double, passes the largest double
+    if k_max + 1 + math.frexp(amp.max())[1] > np.finfo(float).maxexp:
+        raise ValueError(f"k_max = {k_max} makes 2^k (1+z)^3/z^2 overflow on the grid")
     violations = []
     max_upper = -math.inf
     max_lower = -math.inf

@@ -90,7 +90,6 @@ def _walk(seeds: np.ndarray, L: int, x: float, depth: int, budget: int, width=No
     Raises BudgetExceededError as soon as the children of one level take any
     replica's visit count (arity x nodes walked per level) past `budget`.
     """
-    TreeParams(L, x, 0, budget)  # validates dim, root value and budget
     if not 0 <= depth < L:
         raise ValueError(f"k must be in [0, {L - 1}], got {depth}")
     n = len(seeds)
@@ -132,7 +131,9 @@ def _block_step(L: int, x: float, width=None) -> int:
 
 def block_chunk(block_fn, dtype, L, x, seed, args, start, stop, width=None) -> np.ndarray:
     """block_fn(seeds, L, x, *args) over replicas range(start, stop), one
-    engine call per block of _block_step(L, x, width) derived replica seeds."""
+    engine call per block of _block_step(L, x, width) derived replica seeds.
+    Every block function takes the visit budget last, so args[-1] is it."""
+    TreeParams(L, x, seed, args[-1])  # validates dim, root value and budget
     seeds = derive_seed(seed, np.arange(start, stop, dtype=np.uint64))
     out = np.empty(stop - start, dtype=dtype)
     step = _block_step(L, x, width)

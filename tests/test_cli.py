@@ -1,7 +1,10 @@
 """Command-line contract: records, exit codes, CSV mirroring, rerun identity."""
 
+import argparse
 import concurrent.futures
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -9,11 +12,14 @@ import re
 import shlex
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from pathscape import cascade, cli, hypercube, mc, moments, parallel, tree, verify
 from pathscape.parallel import resolve_threads
@@ -172,6 +178,13 @@ def test_cascade_all_over_budget_exits_3(capsys, action):
         (["moments", "pstar-bound", "--dim", "1"], "--dim must be >= 2"),
         (["recursion", "pexist", "--levels", "0"], "--levels must be >= 1"),
         (["recursion", "fk", "--grid", "32"], "--grid must be >= 64"),
+        (["tree", "exists", "--dim", "0"], "--dim must be >= 1"),
+        (
+            ["recursion", "delta-check", "--grid", "64", "--zmax", "1e300", "--k", "0"],
+            "--zmax = 1e+300",
+        ),
+        (["recursion", "pexist", "--levels", "3", "--mu", "nan"], "--mu must be finite"),
+        (["recursion", "delta-check", "--grid", "64", "--k", "1024"], "--k = 1024"),
     ],
     ids=["no-dim", "limits-no-dim", "limits-no-regime", "negative-k", "missing-required",
          "zero-samples", "tree-zero-samples", "zmax-below-zmin", "gf-at-above-grid",
@@ -185,7 +198,8 @@ def test_cascade_all_over_budget_exits_3(capsys, action):
          "zero-budget", "zero-threads", "a-coeff-q-above-dim", "pair-cube-p-plus-q-above-dim",
          "bn-zero-n", "bn-past-the-primes", "pair-tree-dim-one", "second-dim-one",
          "var-star-dim-one", "limits-dim-two", "pstar-bound-dim-one", "pexist-zero-levels",
-         "fk-small-grid"],
+         "fk-small-grid", "exists-zero-dim", "delta-check-overflowing-zmax",
+         "pexist-unused-nan-mu", "delta-check-k-past-the-doubles"],
 )
 def test_bad_invocation_exits_2_with_json_error(capsys, argv, names):
     code, records, err = _run(capsys, *argv)
@@ -195,6 +209,82 @@ def test_bad_invocation_exits_2_with_json_error(capsys, argv, names):
     assert error["error"] == "parameters"
     # the flag (or the words) the message must name
     assert names in error["message"]
+
+
+# Edge values per argument type; sizes stay small, so every accepted run is cheap
+_EDGE_VALUES = {
+    float: [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 0.1, 0.5,
+            1.0, 2.0],
+    int: [-(2**63), -1, 0, 1, 2, 3, 6],
+    None: [os.path.join(os.devnull, "out.csv")],  # the one string flag, --csv: unwritable
+}
+_EDGE_BY_DEST = {
+    "seed": [0, 2**64 - 1, -1, 2**64],
+    "threads": [-1, 0, 1],  # a pool per example costs too much
+    "grid": [-1, 0, 63, 64, 100],
+}
+
+
+def _cli_grammar() -> dict:
+    """Per group of cli.build_parser() but `verify`: its positional choices,
+    and each optional flag with whether it is required and its values."""
+    parser = cli.build_parser()
+    groups = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    grammar = {}
+    for name, sub in groups.choices.items():
+        if name == "verify":  # the batteries cost too much per example
+            continue
+        flags = [
+            (a.option_strings[0], a.required, _EDGE_BY_DEST.get(a.dest, _EDGE_VALUES[a.type]))
+            for a in sub._actions
+            if a.option_strings and a.nargs != 0
+        ]
+        exclusive = [
+            [a.option_strings[0] for a in g._group_actions] for g in sub._mutually_exclusive_groups
+        ]
+        positional = [a.choices for a in sub._actions if not a.option_strings]
+        grammar[name] = (positional, flags, exclusive)
+    return grammar
+
+
+_GRAMMAR = _cli_grammar()
+
+
+@st.composite
+def _cli_argv(draw) -> list:
+    """A command line of the grammar, every flag given as --flag=value."""
+    group = draw(st.sampled_from(sorted(_GRAMMAR)))
+    positional, flags, exclusive = _GRAMMAR[group]
+    argv = [group, *(draw(st.sampled_from(choices)) for choices in positional)]
+    # at most one flag of each mutually exclusive group
+    given = {draw(st.sampled_from([None, *g])) for g in exclusive}
+    left_out = {f for g in exclusive for f in g} - given
+    for flag, required, values in flags:
+        # an optional flag one time in four, so that some runs are accepted
+        if flag not in left_out and (required or draw(st.integers(0, 3)) == 0):
+            # --flag=value: argparse would read a value such as -inf as a flag
+            argv.append(f"{flag}={draw(st.sampled_from(values))}")
+    return argv
+
+
+@given(argv=_cli_argv())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_cli_contract_holds_for_edge_values(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # a warning is an error: pytest would otherwise catch it before stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)  # any exception, SystemExit included, fails the test
+    assert code in (0, 1, 2, 3)
+    event(f"{argv[0]} exit {code}")
+    for line in out.getvalue().splitlines():
+        json.loads(line, parse_constant=_refuse_constant)
+    errors = [json.loads(line) for line in err.getvalue().splitlines()]
+    if code == 2:
+        flags = tuple(flag for flag, _, _ in _GRAMMAR[argv[0]][1])
+        assert [e["error"] for e in errors] == ["parameters"]
+        assert errors[0]["message"].startswith((*flags, "x from")), errors[0]["message"]
 
 
 def _int_digit_cap():

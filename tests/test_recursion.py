@@ -382,6 +382,25 @@ def test_delta_bound_check_rejects_z_max_below_z_min():
         delta_bound_check(3, 0.1, 2**8)
 
 
+@pytest.mark.filterwarnings("error")
+def test_delta_bound_check_refuses_an_overflowing_amplitude():
+    # (1+z)^3/z^2 overflows at z = 1e300; the refusal names z_max, warns of nothing
+    with pytest.raises(ValueError, match="^z_max = 1e[+]300 "):
+        delta_bound_check(0, 1e300, 64)
+    assert delta_bound_check(0, 1e100, 64).ok
+
+
+@pytest.mark.filterwarnings("error")
+def test_delta_bound_check_refuses_a_k_max_past_the_doubles():
+    # on [0.25, 10] max (1+z)^3/z^2 = 31.25 = 0.98 * 2^5, so 2^(k_max+1) * 31.25,
+    # which bounds every |delta_k - M|, is a double up to k_max = 1018
+    report = delta_bound_check(1018, 10.0, 64)
+    assert math.isfinite(report.max_upper_excess) and math.isfinite(report.max_lower_excess)
+    for k_max in (1019, 1024, 2**64):
+        with pytest.raises(ValueError, match=f"^k_max = {k_max} "):
+            delta_bound_check(k_max, 10.0, 64)
+
+
 def test_golden_delta_bound_check():
     # values from the loop that restarted fk_iterate for every k
     report = delta_bound_check(12, 10.0, 2**14)
