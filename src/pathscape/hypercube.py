@@ -6,14 +6,12 @@ step, and is *open* when the node values strictly increase along it.
 Counting is a level-by-level dynamic program: the number of open paths
 into a node is the sum over its one-bit-lower predecessors with strictly
 smaller value.  It runs on 16-cube tiles: the low d = min(L, 16) bits of a
-node are its place in a tile, the high L - d bits its row.  Rows go in
-ascending order.  Each runs the DP within its tile on one cached,
-read-only level-order table set of the d-cube, 4.5 MB at d = 16 whatever
-L, and adds element by element the counts of each row one bit below it
-(the same tile node with one row bit cleared).  Beyond the tables the DP
-holds the values gathered into tile level order and the counts, 8 * 2^L
-bytes each.  Counts to the top corner run the same DP on the reflected
-cube, and existence runs it on booleans.
+node are its place in a tile, the high L - d bits its row; one cached
+level-order table set of the d-cube (4.5 MB at d = 16 whatever L) gives
+the predecessors within a tile.  The DP goes one global level at a time,
+holding two levels of values and counts, 8 * C(L, L // 2) bytes each at
+most.  Counts to the top corner run it on the reflected cube, existence
+on booleans.
 
 Ties in fitness are treated as blocking (strict inequality), a
 probability-zero event under the continuous model but deterministic.
@@ -75,9 +73,9 @@ class Scratch:
     prod(shape) entries of the flat buffer kept under (name, dtype).  A
     buffer is allocated on first use, zero-filled when `zeroed` (its user
     then restores every zero it overwrites), and replaced by a larger one
-    when a request outgrows it.  So once the first landscape has run, a
-    chunk allocates nothing of the cube's size.  Views of one name alias
-    each other: each name serves one purpose at a time.
+    when a request outgrows it.  So after the first landscape a chunk's
+    "draws" and the level DP's two levels ("values", "counts") allocate
+    nothing.  Views of one name alias: each name serves one purpose.
     """
 
     def __init__(self):
@@ -164,25 +162,40 @@ def _level_tables(L: int):
     return order, off, tuple(preds)
 
 
-def _level_masks(L: int, k: int) -> np.ndarray:
-    """The level-k masks, ascending, in int64.
+@lru_cache(maxsize=8)
+def _level_layout(L: int, d: int) -> tuple:
+    """Level by level, where the nodes of the L-cube in d-cube tiles sit.
 
-    Up to the tile dimension d = _TILE_DIM a read-only view of the cached
-    order.  Above it, a node is (row << d) | t on level popcount(row) +
-    popcount(t), so row by row the masks are those of tile level
-    k - popcount(row) with the row bits set; no table of the L-cube is
-    built.
-    """
+    Node (r << d) | c is on level popcount(r) + popcount(c), so level k is,
+    rows r ascending, tile level t = k - popcount(r) of each row with
+    0 <= t <= d.  Entry k lists (r, t, cols, here, below) per row: the
+    masks of tile level t ascending, and (read by the reflected tile of
+    _level_dp) of tile level d - t descending; the slice of level k they
+    fill; the rows one bit below."""
+    order, off, _ = _level_tables(d)
+    tile = [order[off[t] : off[t + 1]] for t in range(d + 1)]
+    cols = [(tile[t], tile[d - t][::-1]) for t in range(d + 1)]
+    levels = []
+    for k in range(L + 1):
+        segs, start = [], 0
+        for r in range(1 << (L - d)):
+            t = k - r.bit_count()
+            if 0 <= t <= d:
+                below = tuple(r ^ 1 << b for b in range(L - d) if r >> b & 1)
+                here = slice(start, start := start + off[t + 1] - off[t])
+                segs.append((r, t, cols[t], here, below))
+        levels.append(tuple(segs))
+    return tuple(levels)
+
+
+def _level_masks(L: int, k: int) -> np.ndarray:
+    """The level-k masks, ascending, in int64: up to d = _TILE_DIM a view of
+    the cached order, above it row by row of _level_layout (no L-cube table)."""
     d = min(L, _TILE_DIM)
     order, off, _ = _level_tables(d)
     if L == d:
         return order[off[k] : off[k + 1]]
-    masks = []
-    for r in range(1 << (L - d)):
-        t = k - r.bit_count()
-        if 0 <= t <= d:
-            masks.append((r << d) | order[off[t] : off[t + 1]])
-    return np.concatenate(masks)
+    return np.concatenate([(r << d) | cols[0] for r, _, cols, *_ in _level_layout(L, d)[k]])
 
 
 def _level_dp(
@@ -191,85 +204,72 @@ def _level_dp(
     """The level DP from 0...0 to the level-k_max nodes, masks ascending.
 
     In int64 it gives the open-prefix counts n_sigma; in bool, where sum
-    is logical or, whether an open prefix reaches each node.  The edge
-    from a predecessor into a level-k node is open when the value strictly
-    increases along it; ties block.  Node (row << d) | t, d = min(L,
-    _TILE_DIM), has as predecessors the lower tile levels of its row and
-    the same tile node in each row one bit below.  Rows go in ascending
-    order, so those rows are finished first; within a row, each tile
-    level sums its tile predecessors, then adds the rows below element by
-    element.  Either sum is exact in any order.  Each finished level-(k-1)
-    count is checked against _I64_MAX // k before it enters a level-k sum,
-    from level 21 on: a landscape raises exactly when the level-by-level
-    DP would, but for L >= 22 the message may name a higher overflowing
-    level than the lowest.
+    is logical or, whether an open prefix reaches each node.  An edge is
+    open when the value strictly increases along it; ties block.  Level by
+    level, each segment of _level_layout (d = min(L, _TILE_DIM)) gathers
+    its values from the landscape into the level-k buffers, sums its tile
+    predecessors, then adds the same tile nodes of the rows below element
+    by element, both read from the level-(k-1) buffers: sums exact in any
+    order.  Before the level-k sums, level k - 1 is checked against
+    _I64_MAX // k from level 21 on: a landscape raises exactly when, and
+    at the level where, the level-by-level DP would.
 
     `f` of shape (2^L, R) holds R landscapes, one per column: every array
-    of the DP then carries that trailing replica axis, the tables gather
-    whole rows of R values, and the result is (C(L, k_max), R).
+    of the DP then carries that trailing replica axis, and the result is
+    (C(L, k_max), R).
 
     With `reflect`, the DP runs on the reflected cube -f[::-1] (see
-    _counts_to_top): row i, tile node c of the reflected cube is row
-    rows - 1 - i, tile node 2^d - 1 - c of f, gathered and negated in
-    place, so the cube itself is never copied.
+    _counts_to_top): its row i, tile node c is row rows - 1 - i, tile node
+    2^d - 1 - c of f, gathered and negated in place; no copy of the cube.
 
-    The values in tile level order and the counts come from `scratch`, a
-    fresh one unless the caller passes its own; so do a batch's gathers,
-    which np.take(out=) fills.  One landscape's gathers are the fresh
-    arrays of numpy indexing, the faster gather on one value per node,
-    freed level by level so that the allocator reuses their memory.
+    The two levels ("values", "counts") and a batch's gathers, which
+    take(out=) fills, come from `scratch` (fresh by default).  One
+    landscape's gathers are numpy indexing's fresh arrays, faster on one
+    value per node, freed segment by segment so the allocator reuses
+    them.  The result is a copy, since the next call reuses the levels.
     """
     d = min(L, _TILE_DIM)
-    order, off, preds = _level_tables(d)
+    preds = _level_tables(d)[2]
     scratch = Scratch() if scratch is None else scratch
-    cols = order[: off[min(k_max, d) + 1]]
     tail = f.shape[1:]  # the replica axis of a batch, else ()
-    src = f.reshape(-1, 1 << d, *tail)
-    if reflect:
-        src = src[::-1]
-        cols = np.subtract((1 << d) - 1, cols, out=scratch.take("cols", cols.shape, np.intp))
-    F = scratch.take("values", (len(src), len(cols), *tail))
-    for row, fr in zip(src, F):
-        np.take(row, cols, axis=0, out=fr, mode="clip")
-    if reflect:
-        np.negative(F, out=F)
-    n = scratch.take("counts", F.shape, dtype)
-    n[:, 0] = 0
-    n[0, 0] = 1
+    rows = list(f.reshape(-1, 1 << d, *tail)[:: -1 if reflect else 1])
+    shape = (2, math.comb(L, min(k_max, L // 2)), *tail)  # the widest level
+    V, N = scratch.take("values", shape), scratch.take("counts", shape, dtype)
     if tail:  # one buffer per gather, sized for the largest tile level
         size = max((p.size for p in preds[1 : min(k_max, d) + 1]), default=0) * math.prod(tail)
         names = (("pred_values", np.float64), ("pred_open", bool), ("pred_counts", dtype))
         gathers = [scratch.take(name, (size,), t) for name, t in names]
-    out = []
-    for r, (nr, fr) in enumerate(zip(n, F)):
-        p = r.bit_count()
-        rows_below = [r ^ (1 << b) for b in range(L - d) if r >> b & 1]
-        for t in range(min(d, k_max - p) + 1):
-            lvl = slice(off[t], off[t + 1])
-            nh, fh = nr[lvl], fr[lvl]
+    levels, cur = ((V[0], N[0]), (V[1], N[1])), {}
+    for k, segs in enumerate(_level_layout(L, d)[: k_max + 1]):
+        # nk is still the finished level k - 1
+        if k >= _GUARD_FROM_LEVEL and nk[: math.comb(L, k - 1)].max() > _I64_MAX // k:
+            raise PathCountOverflowError(f"path count overflow at level {k}")
+        vk, nk = levels[k & 1]
+        prev, cur = cur, {}  # row -> its values and counts on level k - 1, k
+        for r, t, cols, here, below in segs:
+            fh, nh = cur[r] = vk[here], nk[here]
+            rows[r].take(cols[reflect], 0, fh, "clip")  # cols[True]: reflected
+            if reflect:
+                np.negative(fh, out=fh)
             if t:
+                fb, nb = prev[r]
                 if tail:  # rows of R values, gathered into the scratch buffers
                     g, is_open, c = (b[: fh.size * t].reshape(t, *fh.shape) for b in gathers)
-                    np.take(fb, preds[t], axis=0, out=g, mode="clip")
+                    fb.take(preds[t], 0, g, "clip")
                     np.less(g, fh, out=is_open)
-                    np.take(nb, preds[t], axis=0, out=c, mode="clip")
+                    nb.take(preds[t], 0, c, "clip")
                 else:  # one value per node, by numpy indexing
                     is_open = fb[preds[t]] < fh
                     c = nb[preds[t]]
                 c *= is_open
-                c.sum(axis=0, dtype=dtype, out=nh)
-                # freed before the next level's gathers, which then reuse
-                # their memory instead of faulting in fresh pages
-                del is_open, c
-            for q in rows_below:
-                nh += n[q, lvl] * (F[q, lvl] < fh)
-            k = p + t + 1  # the level these counts feed
-            if _GUARD_FROM_LEVEL <= k <= k_max and nh.max() > _I64_MAX // k:
-                raise PathCountOverflowError(f"path count overflow at level {k}")
-            nb, fb = nh, fh
-        if p <= k_max <= p + d:
-            out.append(nr[off[k_max - p] : off[k_max - p + 1]])
-    return np.concatenate(out)
+                np.add.reduce(c, 0, dtype, nh)
+                del is_open, c  # the next gathers reuse their memory, no fresh pages
+            else:  # a row's tile origin: only the rows below feed it
+                nh[...] = k == 0
+            for q in below:
+                fb, nb = prev[q]
+                nh += nb * (fb < fh)
+    return nk[: math.comb(L, k_max)].copy()
 
 
 def _counts_from_origin(

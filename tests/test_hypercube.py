@@ -23,6 +23,7 @@ from pathscape.hypercube import (
     path_exists,
     theta_k_hypercube,
 )
+from pathscape.rng import philox_replicas
 
 from oracle_criteria import enumerate_paths_oracle
 
@@ -385,6 +386,76 @@ def test_overflow_guard_passes_random_cube_at_dim_21():
     assert path_exists(land) == (count > 0)
 
 
+def _dp_by_levels(f: np.ndarray, L: int, dtype, up: bool = True) -> list:
+    """Level-by-level DP on the whole cube, no tiles: per level k, masks
+    ascending, the open paths (int64) or reach (bool) from 0...0 into each
+    node (`up`), or from each node on level L - k to 1...1.  A predecessor
+    is the node with one set bit cleared; ties block."""
+    level = np.bitwise_count(np.arange(1 << L))
+    masks = [np.flatnonzero(level == k) for k in range(L + 1)]
+    n = np.zeros(1 << L, dtype)
+    n[0 if up else -1] = 1
+    for k in range(1, L + 1) if up else range(L - 1, -1, -1):
+        for b in range(L):
+            node = masks[k][(masks[k] >> b & 1) == up]
+            other = node ^ (1 << b)  # the predecessor (up) or successor
+            lo, hi = (other, node) if up else (node, other)
+            n[node] += n[other] * (f[lo] < f[hi])
+    return [n[m] for m in (masks if up else masks[::-1])]
+
+
+def test_overflow_guard_names_the_lowest_overflowing_level(monkeypatch):
+    # with 4-node tiles and thresholds taken from the level maxima, the
+    # guard must name the lowest level k with max(level k - 1) > max // k;
+    # at L = 10, seed 51 a row of level 5 overflows before any row of level
+    # 4 is finished, so a row-by-row check names the wrong level
+    monkeypatch.setattr(hypercube, "_TILE_DIM", 2)
+    monkeypatch.setattr(hypercube, "_GUARD_FROM_LEVEL", 2)
+    for L, seed in itertools.product(range(5, 11), range(44, 60)):
+        rng = np.random.default_rng(seed)
+        f = rng.random(1 << L) ** 0.5 * 0.3 + np.bitwise_count(np.arange(1 << L)) / (L + 1)
+        lv = [int(n.max()) for n in _dp_by_levels(f, L, np.int64)]
+        for top in (lv[k - 1] * k for k in range(2, L + 1)):
+            monkeypatch.setattr(hypercube, "_I64_MAX", top)
+            lowest = next((k for k in range(2, L + 1) if lv[k - 1] > top // k), None)
+            if lowest is None:
+                assert count_open_paths(_landscape(f)) == lv[L]
+            else:
+                with pytest.raises(PathCountOverflowError, match=f"at level {lowest}$"):
+                    count_open_paths(_landscape(f))
+
+
+@pytest.mark.parametrize("L", [17, 18])
+def test_multi_row_tiles_against_a_level_by_level_dp(L):
+    # two and four rows of 16-cube tiles, checked against the DP without tiles
+    raw = generate_hypercube(L, 1 / L, SEED, replica=L)
+    for land in (raw, _tied(raw)):
+        f = land.fitness
+        up, down = _dp_by_levels(f, L, np.int64), _dp_by_levels(f, L, np.int64, up=False)
+        reach = _dp_by_levels(f, L, bool)
+        for k in range(L + 1):
+            assert np.array_equal(_counts_from_origin(f, L, k), up[k])
+            assert np.array_equal(_counts_to_top(f, L, k), down[k])
+            assert np.array_equal(hypercube._level_dp(f, L, k, bool), reach[k])
+
+
+def test_dp_results_survive_the_next_call_on_the_same_scratch():
+    # the levels live in the scratch; each result must be a copy of them
+    for L in (9, 17):
+        f = generate_hypercube(L, 1 / L, SEED, replica=3).fitness
+        for k in (L // 2, L):
+            scratch = hypercube.Scratch()
+            n = _counts_from_origin(f, L, k, scratch)
+            m = _counts_to_top(f, L, k, scratch)
+            assert np.array_equal(n, _counts_from_origin(f, L, k))
+            assert np.array_equal(m, _counts_to_top(f, L, k))
+    scratch = hypercube.Scratch()
+    for dtype in (np.int64, bool):
+        first = hypercube.batch_dp(8, 0.1, philox_replicas(SEED, 0, 6), 6, dtype, scratch)
+        hypercube.batch_dp(8, 0.1, philox_replicas(SEED, 6, 12), 6, dtype, scratch)
+        assert np.array_equal(first, mc._cube_batches(dtype, 8, 0.1, SEED, 0, 6))
+
+
 def test_level_masks_above_tile_dim_match_definition(monkeypatch):
     # built from the tile split alone: no table of the 17-cube
     L = 17
@@ -438,31 +509,34 @@ def test_tile_dims_leave_results_unchanged(monkeypatch, tile_dim):
 
 
 def test_level_dp_working_set_is_bounded():
-    # cold calls, tables included: the 16-cube tables plus a few length-2^L
-    # arrays (values in tile order, the counts) and one tile level's
-    # gathers, whatever L
-    L = 20
-    land = _fully_open(L)
+    # cold calls, tables included: the 16-cube tables, the two live levels
+    # of values and counts, one tile level's gathers, and the result, a copy
+    # of the last level's counts (as large as a level for k = L // 2)
+    d = hypercube._TILE_DIM
     _level_tables.cache_clear()
-    order, _, preds = _level_tables(hypercube._TILE_DIM)
+    order, _, preds = _level_tables(d)
     tables = order.nbytes + sum(t.nbytes for t in preds)
-    bound = 4 * 8 * 2**L + tables
-    calls = (
-        lambda: count_open_paths(land),
-        lambda: path_exists(land),
-        lambda: _counts_to_top(land.fitness, L, L // 2),
-        lambda: theta_k_hypercube(land, 1),
-    )
-    for call in calls:
-        _level_tables.cache_clear()
-        hypercube._comparable_pairs.cache_clear()
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+    gathers = max(t.size for t in preds) * (8 + 1 + 8)
+    for land in (_fully_open(20), generate_hypercube(22, 1 / 22, SEED)):
+        L = land.dim
+        bound = 4 * 8 * math.comb(L, L // 2) + gathers + tables
+        calls = (
+            (lambda: count_open_paths(land), 0),
+            (lambda: path_exists(land), 0),
+            (lambda: _counts_to_top(land.fitness, L, L // 2), 8 * math.comb(L, L // 2)),
+            (lambda: theta_k_hypercube(land, 1), 0),
+        )
+        for call, result in calls:
+            _level_tables.cache_clear()
+            hypercube._level_layout.cache_clear()
+            hypercube._comparable_pairs.cache_clear()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound + result
 
 
 def _stacked(lands) -> np.ndarray:
@@ -533,16 +607,17 @@ def test_theta_k_leaves_its_weight_matrix_zero():
 
 @pytest.mark.parametrize("L", [8, 12])
 def test_batched_driver_working_set_is_bounded(L):
-    # cold, tables included: four arrays of 2^17 values (the draws, their
-    # transpose, the values in level order, the counts), the largest
-    # level's gathers for R = 2^17 >> L landscapes, whatever the sample
-    # count, and 128 KB for numpy's casting buffers
+    # cold tables: the draws of 2^17 values and their transpose, two levels
+    # of values and counts and the largest tile level's gathers for
+    # R = 2^17 >> L landscapes, whatever the sample count, and 128 KB for
+    # numpy's casting buffers; a first batch imports numpy.random untraced
     R = 2**17 >> L
+    mc.hypercube_theta_batch(L, 0.1, SEED, 1)
     _level_tables.cache_clear()
     order, _, preds = _level_tables(L)
     tables = order.nbytes + sum(t.nbytes for t in preds)
     gathers = max(t.size for t in preds) * R * (8 + 1 + 8)
-    bound = 4 * 8 * 2**17 + gathers + tables + 2**17
+    bound = 2 * 8 * 2**17 + 4 * 8 * math.comb(L, L // 2) * R + gathers + tables + 2**17
     _level_tables.cache_clear()
     tracemalloc.start()
     try:
