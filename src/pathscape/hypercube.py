@@ -218,9 +218,15 @@ def _level_dp(
     of the DP then carries that trailing replica axis, and the result is
     (C(L, k_max), R).
 
-    With `reflect`, the DP runs on the reflected cube -f[::-1] (see
-    _counts_to_top): its row i, tile node c is row rows - 1 - i, tile node
-    2^d - 1 - c of f, gathered and negated in place; no copy of the cube.
+    With `reflect`, the result is the counts m_tau of open paths from each
+    level-(L - k_max) node tau up to 1...1, masks ascending.  Reversing a
+    path and negating every value maps these onto the DP from 0...0 on the
+    reflected cube g[mask] = -f[full ^ mask].  Since full ^ mask =
+    full - mask, the reflection reverses the index order, both of f and of
+    each level: row i, tile node c of g is row rows - 1 - i, tile node
+    2^d - 1 - c of f, gathered and negated in place, with no copy of the
+    cube, and the last level is reversed back.  Negation is exact, so g
+    has exactly the ties of f (1 - f would round).
 
     The two levels ("values", "counts") and a batch's gathers, which
     take(out=) fills, come from `scratch` (fresh by default).  One
@@ -269,33 +275,14 @@ def _level_dp(
             for q in below:
                 fb, nb = prev[q]
                 nh += nb * (fb < fh)
-    return nk[: math.comb(L, k_max)].copy()
-
-
-def _counts_from_origin(
-    f: np.ndarray, L: int, k_max: int, scratch: Scratch | None = None
-) -> np.ndarray:
-    """Open-prefix counts n_sigma of the level-k_max nodes."""
-    return _level_dp(f, L, k_max, np.int64, scratch=scratch)
-
-
-def _counts_to_top(f: np.ndarray, L: int, k: int, scratch: Scratch | None = None) -> np.ndarray:
-    """Counts m_tau of open paths from each level-(L-k) node to 1...1.
-
-    Reversing a path and negating every value maps these onto origin
-    counts of the reflected cube g[mask] = -f[full ^ mask].  Since
-    full ^ mask = full - mask, the reflection reverses the index order,
-    both of the fitness array and of each level.  Negation is exact, so
-    the reflected cube has exactly the ties of f (1 - f would round).
-    """
-    return _level_dp(f, L, k, np.int64, reflect=True, scratch=scratch)[::-1]
+    return nk[: math.comb(L, k_max)][:: -1 if reflect else 1].copy()
 
 
 def count_open_paths(land: HypercubeLandscape, scratch: Scratch | None = None) -> int:
     """Exact number of open paths from 0...0 to 1...1 (checked 64-bit).
 
     A replica loop passes one `scratch` for all its landscapes."""
-    return int(_counts_from_origin(land.fitness, land.dim, land.dim, scratch)[0])
+    return int(_level_dp(land.fitness, land.dim, land.dim, np.int64, scratch=scratch)[0])
 
 
 def path_exists(land: HypercubeLandscape, scratch: Scratch | None = None) -> bool:
@@ -336,8 +323,8 @@ def theta_k_hypercube(land: HypercubeLandscape, k: int, scratch: Scratch | None 
     if not 0 <= 2 * k < L:
         raise ValueError(f"k must be in [0, {(L - 1) // 2}] (2k < dim), got {k}")
     scratch = Scratch() if scratch is None else scratch
-    n = _counts_from_origin(land.fitness, L, k, scratch).astype(float)
-    m = _counts_to_top(land.fitness, L, k, scratch).astype(float)
+    n = _level_dp(land.fitness, L, k, np.int64, scratch=scratch).astype(float)
+    m = _level_dp(land.fitness, L, k, np.int64, reflect=True, scratch=scratch).astype(float)
     xs = land.fitness[_level_masks(L, k)]
     ys = 1.0 - land.fitness[_level_masks(L, L - k)]
     flat, col = _comparable_pairs(L, k)

@@ -14,8 +14,7 @@ from pathscape import hypercube, mc, moments, stats
 from pathscape.hypercube import (
     HypercubeLandscape,
     PathCountOverflowError,
-    _counts_from_origin,
-    _counts_to_top,
+    _level_dp,
     _level_masks,
     _level_tables,
     count_open_paths,
@@ -167,7 +166,7 @@ def test_path_exists_matches_count():
         assert count_open_paths(top) == 0
 
 
-def _counts_to_top_oracle(land: HypercubeLandscape, tau: int) -> int:
+def _paths_to_top_oracle(land: HypercubeLandscape, tau: int) -> int:
     """Open paths from tau up to 1...1, by trying every order of its 0 bits."""
     f = land.fitness
     zeros = [b for b in range(land.dim) if not (tau >> b) & 1]
@@ -189,19 +188,19 @@ def test_counts_from_top_against_enumeration(L):
         raw = generate_hypercube(L, 0.2, SEED, replica=r)
         for land in (raw, _tied(raw)):
             for k in range(L + 1):
-                counts = _counts_to_top(land.fitness, L, k)
+                counts = _level_dp(land.fitness, L, k, np.int64, reflect=True)
                 for tau, m in zip(_level_masks(L, L - k).tolist(), counts.tolist()):
-                    assert m == _counts_to_top_oracle(land, tau)
+                    assert m == _paths_to_top_oracle(land, tau)
 
 
 def test_level_counts_invariants():
     land = generate_hypercube(6, 0.2, SEED)
-    assert _counts_from_origin(land.fitness, 6, 0).tolist() == [1]
+    assert _level_dp(land.fitness, 6, 0, np.int64).tolist() == [1]
     for k in range(1, 4):
-        counts = _counts_from_origin(land.fitness, 6, k)
+        counts = _level_dp(land.fitness, 6, k, np.int64)
         assert (counts <= math.factorial(k)).all()
         assert (counts >= 0).all()
-    assert _counts_to_top(land.fitness, 6, 0).tolist() == [1]
+    assert _level_dp(land.fitness, 6, 0, np.int64, reflect=True).tolist() == [1]
 
 
 def _theta_k_path_oracle(land: HypercubeLandscape, k: int) -> float:
@@ -316,7 +315,7 @@ def test_golden_counts_from_top(master_seed):
     for L in range(2, 11):
         land = generate_hypercube(L, 0.1, master_seed, replica=L)
         for k in range(L + 1):
-            counts = _counts_to_top(land.fitness, L, k)
+            counts = _level_dp(land.fitness, L, k, np.int64, reflect=True)
             assert counts.dtype == np.int64
             h.update(np.ascontiguousarray(counts).tobytes())
     assert h.hexdigest() == "770cf484ecc4b145b377f8f0943e71d8ebc1067c6eca9b26cb80515a60fa4998"
@@ -355,7 +354,7 @@ def test_golden_counts_from_origin(master_seed):
     for L in range(2, 11):
         land = generate_hypercube(L, 0.1, master_seed, replica=L)
         for k in range(L + 1):
-            masks, counts = _level_masks(L, k), _counts_from_origin(land.fitness, L, k)
+            masks, counts = _level_masks(L, k), _level_dp(land.fitness, L, k, np.int64)
             assert masks.dtype == np.int64
             assert counts.dtype == np.int64
             h.update(np.ascontiguousarray(masks).tobytes())
@@ -434,9 +433,9 @@ def test_multi_row_tiles_against_a_level_by_level_dp(L):
         up, down = _dp_by_levels(f, L, np.int64), _dp_by_levels(f, L, np.int64, up=False)
         reach = _dp_by_levels(f, L, bool)
         for k in range(L + 1):
-            assert np.array_equal(_counts_from_origin(f, L, k), up[k])
-            assert np.array_equal(_counts_to_top(f, L, k), down[k])
-            assert np.array_equal(hypercube._level_dp(f, L, k, bool), reach[k])
+            assert np.array_equal(_level_dp(f, L, k, np.int64), up[k])
+            assert np.array_equal(_level_dp(f, L, k, np.int64, reflect=True), down[k])
+            assert np.array_equal(_level_dp(f, L, k, bool), reach[k])
 
 
 def test_dp_results_survive_the_next_call_on_the_same_scratch():
@@ -445,10 +444,10 @@ def test_dp_results_survive_the_next_call_on_the_same_scratch():
         f = generate_hypercube(L, 1 / L, SEED, replica=3).fitness
         for k in (L // 2, L):
             scratch = hypercube.Scratch()
-            n = _counts_from_origin(f, L, k, scratch)
-            m = _counts_to_top(f, L, k, scratch)
-            assert np.array_equal(n, _counts_from_origin(f, L, k))
-            assert np.array_equal(m, _counts_to_top(f, L, k))
+            n = _level_dp(f, L, k, np.int64, scratch=scratch)
+            m = _level_dp(f, L, k, np.int64, reflect=True, scratch=scratch)
+            assert np.array_equal(n, _level_dp(f, L, k, np.int64))
+            assert np.array_equal(m, _level_dp(f, L, k, np.int64, reflect=True))
     scratch = hypercube.Scratch()
     for dtype in (np.int64, bool):
         first = hypercube.batch_dp(8, 0.1, philox_replicas(SEED, 0, 6), 6, dtype, scratch)
@@ -488,9 +487,9 @@ def test_tile_dims_leave_results_unchanged(monkeypatch, tile_dim):
         return [
             (
                 _level_masks(L, k),
-                _counts_from_origin(f, L, k),
-                _counts_to_top(f, L, k),
-                hypercube._level_dp(f, L, k, bool),
+                _level_dp(f, L, k, np.int64),
+                _level_dp(f, L, k, np.int64, reflect=True),
+                _level_dp(f, L, k, bool),
             )
             for k in range(L + 1)
         ]
@@ -523,7 +522,10 @@ def test_level_dp_working_set_is_bounded():
         calls = (
             (lambda: count_open_paths(land), 0),
             (lambda: path_exists(land), 0),
-            (lambda: _counts_to_top(land.fitness, L, L // 2), 8 * math.comb(L, L // 2)),
+            (
+                lambda: _level_dp(land.fitness, L, L // 2, np.int64, reflect=True),
+                8 * math.comb(L, L // 2),
+            ),
             (lambda: theta_k_hypercube(land, 1), 0),
         )
         for call, result in calls:
@@ -554,9 +556,9 @@ def test_level_dp_on_stacked_landscapes_matches_one_at_a_time(monkeypatch, tile_
         f = _stacked(lands)
         for k in range(L + 1):
             for dtype, reflect in itertools.product((np.int64, bool), (False, True)):
-                got = hypercube._level_dp(f, L, k, dtype, reflect=reflect)
+                got = _level_dp(f, L, k, dtype, reflect=reflect)
                 assert got.dtype == dtype
-                expect = [hypercube._level_dp(g.fitness, L, k, dtype, reflect) for g in lands]
+                expect = [_level_dp(g.fitness, L, k, dtype, reflect) for g in lands]
                 assert np.array_equal(got, np.stack(expect, axis=1))
 
 
@@ -586,10 +588,11 @@ def test_batch_size_and_crossover_leave_batches_unchanged():
         ]
 
 
-@pytest.mark.parametrize("L", [8, 12])
+@pytest.mark.parametrize("L", [8, 12, 16])
 def test_batches_independent_of_threads(L):
-    # two chunks of 29 and 30 replicas: neither starts or ends on a batch edge
-    n = 59
+    # batched (L <= 15): two chunks of 29 and 30 replicas, neither starting or
+    # ending on a batch edge; one landscape per call (L = 16): chunks of 2 and 3
+    n = 59 if L <= mc._BATCH_MAX_DIM else 5
     for batch in (mc.hypercube_theta_batch, mc.hypercube_exists_batch):
         assert np.array_equal(batch(L, 0.1, SEED, n, threads=1), batch(L, 0.1, SEED, n, threads=2))
     one = mc.hypercube_theta_k_batch(L, 0.1, 3, SEED, n, threads=1)
@@ -633,12 +636,12 @@ def test_counts_to_top_does_not_copy_the_cube():
     # top corner reads the reflected cube through a reversed view of f
     L = 20
     f = _fully_open(L).fitness
-    for corner in (_counts_from_origin, _counts_to_top):
-        corner(f, L, 1)
+    for reflect in (False, True):
+        _level_dp(f, L, 1, np.int64, reflect)
         tracemalloc.start()
         try:
-            corner(f, L, 1)
+            _level_dp(f, L, 1, np.int64, reflect)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < f.nbytes // 64, corner.__name__
+        assert peak < f.nbytes // 64, f"reflect={reflect}"
