@@ -454,7 +454,7 @@ def run(argv=None) -> int:
             if cap:
                 sys.set_int_max_str_digits(cap)
     # an allocation the parameters make too large is a parameter error too
-    except (ValueError, KeyError, MemoryError, hypercube.PathCountOverflowError) as exc:
+    except (ValueError, MemoryError, hypercube.PathCountOverflowError) as exc:
         message = _flag_message(args, str(exc))
         print(json.dumps({"error": "parameters", "message": message}), file=sys.stderr)
         return EXIT_PARAMS

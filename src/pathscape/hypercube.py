@@ -75,7 +75,8 @@ class Scratch:
     then restores every zero it overwrites), and replaced by a larger one
     when a request outgrows it.  So after the first landscape a chunk's
     "draws" and the level DP's two levels ("values", "counts") allocate
-    nothing.  Views of one name alias: each name serves one purpose.
+    nothing; the DP's gathers are fresh arrays, whose memory the allocator
+    reuses.  Views of one name alias: each name serves one purpose.
     """
 
     def __init__(self):
@@ -228,11 +229,11 @@ def _level_dp(
     cube, and the last level is reversed back.  Negation is exact, so g
     has exactly the ties of f (1 - f would round).
 
-    The two levels ("values", "counts") and a batch's gathers, which
-    take(out=) fills, come from `scratch` (fresh by default).  One
-    landscape's gathers are numpy indexing's fresh arrays, faster on one
-    value per node, freed segment by segment so the allocator reuses
-    them.  The result is a copy, since the next call reuses the levels.
+    The two levels ("values", "counts") come from `scratch` (fresh by
+    default).  The gathers are fresh arrays, freed segment by segment so
+    the allocator reuses their memory: numpy indexing on one value per
+    node, `take` on a batch's rows of R values, the faster on each.  The
+    result is a copy, since the next call reuses the levels.
     """
     d = min(L, _TILE_DIM)
     preds = _level_tables(d)[2]
@@ -241,10 +242,6 @@ def _level_dp(
     rows = list(f.reshape(-1, 1 << d, *tail)[:: -1 if reflect else 1])
     shape = (2, math.comb(L, min(k_max, L // 2)), *tail)  # the widest level
     V, N = scratch.take("values", shape), scratch.take("counts", shape, dtype)
-    if tail:  # one buffer per gather, sized for the largest tile level
-        size = max((p.size for p in preds[1 : min(k_max, d) + 1]), default=0) * math.prod(tail)
-        names = (("pred_values", np.float64), ("pred_open", bool), ("pred_counts", dtype))
-        gathers = [scratch.take(name, (size,), t) for name, t in names]
     levels, cur = ((V[0], N[0]), (V[1], N[1])), {}
     for k, segs in enumerate(_level_layout(L, d)[: k_max + 1]):
         # nk is still the finished level k - 1
@@ -259,11 +256,9 @@ def _level_dp(
                 np.negative(fh, out=fh)
             if t:
                 fb, nb = prev[r]
-                if tail:  # rows of R values, gathered into the scratch buffers
-                    g, is_open, c = (b[: fh.size * t].reshape(t, *fh.shape) for b in gathers)
-                    fb.take(preds[t], 0, g, "clip")
-                    np.less(g, fh, out=is_open)
-                    nb.take(preds[t], 0, c, "clip")
+                if tail:  # rows of R values, by take
+                    is_open = fb.take(preds[t], 0, mode="clip") < fh
+                    c = nb.take(preds[t], 0, mode="clip")
                 else:  # one value per node, by numpy indexing
                     is_open = fb[preds[t]] < fh
                     c = nb[preds[t]]

@@ -10,7 +10,7 @@ from dataclasses import asdict
 
 import pytest
 
-from pathscape import cli, verify
+from pathscape import cli, moments, verify
 
 import oracle_criteria
 
@@ -88,6 +88,15 @@ def test_criterion_06_a_coefficient_facts():
 def test_criterion_07_indecomposable_pairs():
     results = verify.check_indecomposable(seed=SEED)
     _assert_all(results, RECORD_DIGESTS["check_indecomposable"])
+
+
+def test_criterion_07_fails_on_wrong_counts(monkeypatch):
+    # B(n) off by one: both the values and the class sizes must fail
+    real = moments.indecomposable_count
+    monkeypatch.setattr(moments, "indecomposable_count", lambda n: real(n) + 1)
+    values, classes = verify.check_indecomposable(seed=SEED)
+    assert not values.passed and values.observed == {"B(1..5)": [2, 2, 4, 14, 72]}
+    assert not classes.passed and "MISMATCH" in classes.details
 
 
 def test_criterion_08_generating_function_limit():

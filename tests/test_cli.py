@@ -408,6 +408,16 @@ def test_path_count_overflow_exits_2(capsys, monkeypatch):
     assert error == {"error": "parameters", "message": "path count overflow at level 21"}
 
 
+def test_key_error_from_a_kernel_escapes(monkeypatch):
+    # every parameter check raises ValueError: a KeyError is a bug, not exit 2
+    def missing_row(*args, **kwargs):
+        raise KeyError(3)
+
+    monkeypatch.setattr(hypercube, "batch_dp", missing_row)
+    with pytest.raises(KeyError):
+        cli.run(["hypercube", "count", "--dim", "4", "--threads", "1"])
+
+
 def test_allocation_failure_exits_2(capsys, monkeypatch):
     # a sample count too large to allocate, faked so that the test allocates nothing
     def too_large(*args, **kwargs):
@@ -648,6 +658,11 @@ def test_recursion_commands(capsys):
     )
     assert code == 0
     assert records[0]["stats"]["F_k"] == pytest.approx(0.5, abs=0.05)
+
+
+def test_unknown_battery_is_refused():
+    with pytest.raises(ValueError, match="unknown battery 'thm9'"):
+        verify.run_battery("thm9")
 
 
 def test_verify_battery_emits_per_criterion_records(capsys):

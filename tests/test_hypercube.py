@@ -101,6 +101,8 @@ def test_generation_validation():
         generate_hypercube(30, 0.0, seed=1)
     with pytest.raises(ValueError):
         generate_hypercube(3, 1.5, seed=1)
+    with pytest.raises(ValueError, match="2\\^dim"):
+        HypercubeLandscape(3, 0.0, np.zeros(7))
 
 
 @pytest.mark.parametrize("L", range(2, 8))
