@@ -13,6 +13,10 @@ holding two levels of values and counts, 8 * C(L, L // 2) bytes each at
 most.  Counts to the top corner run it on the reflected cube, existence
 on booleans.
 
+Two replica chunk loops serve the batches in `mc`, each over one re-keyed
+Philox generator and one `Scratch`: `count_chunk`, batched up to
+L = _BATCH_MAX_DIM, and `landscape_chunk`, one landscape at a time.
+
 Ties in fitness are treated as blocking (strict inequality), a
 probability-zero event under the continuous model but deterministic.
 """
@@ -23,11 +27,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .rng import philox_stream
+from .rng import philox_replicas, philox_stream
 
 DEFAULT_DIM_CAP = 24
 
@@ -43,6 +47,12 @@ _GUARD_FROM_LEVEL = 21
 # Tile dimension of the level DP: only the tables of this cube are built,
 # and one tile level gathers at most 8 * C(16, 8) = 102 960 table entries.
 _TILE_DIM = 16
+
+# Values per batched DP call of count_chunk: R = _BATCH_VALUES >> L
+# landscapes.  Batches stop at L = 15 (R = 4): at L = 16 (R = 2) one costs
+# more CPU than one landscape per call.
+_BATCH_VALUES = 1 << 17
+_BATCH_MAX_DIM = 15
 
 
 class PathCountOverflowError(OverflowError):
@@ -116,21 +126,6 @@ def draw_landscapes(L: int, x: float, rngs: Iterable, m: int, scratch: Scratch) 
     draws[:, 0] = x
     draws[:, -1] = 1.0
     return draws
-
-
-def batch_dp(L: int, x: float, rngs: Iterator, m: int, dtype, scratch: Scratch) -> np.ndarray:
-    """Open-path counts (int64) or existence (bool) of m landscapes, one
-    drawn from each of the next m generators of `rngs`, by one level DP.
-
-    The landscapes go into one (2^L, m) array, a column per landscape.
-    The result equals count_open_paths or path_exists landscape by
-    landscape: the counts are exact integers, so summing R at a time
-    changes nothing.
-    """
-    draws = draw_landscapes(L, x, rngs, m, scratch)
-    f = scratch.take("batch", (1 << L, m))
-    np.copyto(f, draws.T)
-    return _level_dp(f, L, L, dtype, scratch=scratch)[0]
 
 
 @lru_cache(maxsize=4)
@@ -285,6 +280,46 @@ def path_exists(land: HypercubeLandscape, scratch: Scratch | None = None) -> boo
     return bool(_level_dp(land.fitness, land.dim, land.dim, bool, scratch=scratch)[0])
 
 
+def landscape_chunk(fn, dtype, L, x, seed, args, start, stop) -> np.ndarray:
+    """fn(landscape, *args, scratch=scratch) for each replica in
+    range(start, stop): one Philox generator re-keyed per replica, one
+    Scratch for the chunk."""
+    out = np.empty(stop - start, dtype=dtype)
+    scratch = Scratch()
+    rngs = philox_replicas(seed, start, stop)
+    for i in range(len(out)):
+        fitness = draw_landscapes(L, x, rngs, 1, scratch)[0]
+        out[i] = fn(HypercubeLandscape(L, x, fitness), *args, scratch=scratch)
+    return out
+
+
+def count_chunk(dtype, L, x, seed, start, stop) -> np.ndarray:
+    """Open-path counts (int64) or existence (bool) for each replica in
+    range(start, stop).
+
+    Up to _BATCH_MAX_DIM, one level DP runs R = _BATCH_VALUES >> L
+    landscapes, transposed into a (2^L, R) array with a column each; the
+    counts are exact integers, so summing R at a time changes nothing.
+    Larger cubes go one landscape at a time through count_open_paths or
+    path_exists, and so does a dim out of range, which draw_landscapes
+    refuses before it sizes an array.
+    """
+    if not 1 <= L <= _BATCH_MAX_DIM:
+        fn = count_open_paths if dtype is np.int64 else path_exists
+        return landscape_chunk(fn, dtype, L, x, seed, (), start, stop)
+    out = np.empty(stop - start, dtype=dtype)
+    scratch = Scratch()
+    rngs = philox_replicas(seed, start, stop)
+    R = _BATCH_VALUES >> L
+    for i in range(0, len(out), R):
+        m = min(R, len(out) - i)
+        draws = draw_landscapes(L, x, rngs, m, scratch)
+        f = scratch.take("batch", (1 << L, m))
+        np.copyto(f, draws.T)
+        out[i : i + m] = _level_dp(f, L, L, dtype, scratch=scratch)[0]
+    return out
+
+
 @lru_cache(maxsize=8)
 def _comparable_pairs(L: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Positions in the (C(L, k), C(L, k)) matrix of the comparable pairs
@@ -312,12 +347,14 @@ def theta_k_hypercube(land: HypercubeLandscape, k: int, scratch: Scratch | None 
     comparable pairs (sigma subset of tau) with x_sigma + y_tau < 1,
     where y_tau = 1 - value(tau).  The weight matrix comes from
     `scratch`, which keeps it zero between calls: only the entries written
-    are reset.
+    are reset.  It is taken first, so that one too large to allocate fails
+    before the DPs and the pair tables run.
     """
     L = land.dim
     if not 0 <= 2 * k < L:
         raise ValueError(f"k must be in [0, {(L - 1) // 2}] (2k < dim), got {k}")
     scratch = Scratch() if scratch is None else scratch
+    w = scratch.take("weights", (math.comb(L, k),) * 2, zeroed=True)
     n = _level_dp(land.fitness, L, k, np.int64, scratch=scratch).astype(float)
     m = _level_dp(land.fitness, L, k, np.int64, reflect=True, scratch=scratch).astype(float)
     xs = land.fitness[_level_masks(L, k)]
@@ -327,7 +364,6 @@ def theta_k_hypercube(land: HypercubeLandscape, k: int, scratch: Scratch | None 
     # a tie blocks: base 0 weighs 0, also at exponent 0
     ok = np.flatnonzero(base > 0.0)
     at = flat.ravel()[ok]
-    w = scratch.take("weights", (len(xs), len(xs)), zeroed=True)
     w.ravel()[at] = (L - 2 * k) * base.ravel()[ok] ** (L - 2 * k - 1)
     theta = float(n @ w @ m)
     w.ravel()[at] = 0.0

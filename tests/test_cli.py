@@ -400,7 +400,7 @@ def test_path_count_overflow_exits_2(capsys, monkeypatch):
     def overflow(*args, **kwargs):
         raise hypercube.PathCountOverflowError("path count overflow at level 21")
 
-    monkeypatch.setattr(hypercube, "batch_dp", overflow)
+    monkeypatch.setattr(hypercube, "_level_dp", overflow)
     code, records, err = _run(capsys, "hypercube", "count", "--dim", "4", "--threads", "1")
     assert code == 2
     assert records == []
@@ -413,7 +413,7 @@ def test_key_error_from_a_kernel_escapes(monkeypatch):
     def missing_row(*args, **kwargs):
         raise KeyError(3)
 
-    monkeypatch.setattr(hypercube, "batch_dp", missing_row)
+    monkeypatch.setattr(hypercube, "_level_dp", missing_row)
     with pytest.raises(KeyError):
         cli.run(["hypercube", "count", "--dim", "4", "--threads", "1"])
 

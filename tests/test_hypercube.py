@@ -22,7 +22,6 @@ from pathscape.hypercube import (
     path_exists,
     theta_k_hypercube,
 )
-from pathscape.rng import philox_replicas
 
 from oracle_criteria import enumerate_paths_oracle
 
@@ -450,11 +449,6 @@ def test_dp_results_survive_the_next_call_on_the_same_scratch():
             m = _level_dp(f, L, k, np.int64, reflect=True, scratch=scratch)
             assert np.array_equal(n, _level_dp(f, L, k, np.int64))
             assert np.array_equal(m, _level_dp(f, L, k, np.int64, reflect=True))
-    scratch = hypercube.Scratch()
-    for dtype in (np.int64, bool):
-        first = hypercube.batch_dp(8, 0.1, philox_replicas(SEED, 0, 6), 6, dtype, scratch)
-        hypercube.batch_dp(8, 0.1, philox_replicas(SEED, 6, 12), 6, dtype, scratch)
-        assert np.array_equal(first, mc._cube_batches(dtype, 8, 0.1, SEED, 0, 6))
 
 
 def test_level_masks_above_tile_dim_match_definition(monkeypatch):
@@ -568,11 +562,11 @@ def test_level_dp_on_stacked_landscapes_matches_one_at_a_time(monkeypatch, tile_
 def test_batched_driver_matches_one_landscape_at_a_time(monkeypatch, x):
     # R = 3 landscapes per DP call, 7 replicas from replica 5 on: two full
     # batches and a short one, keyed from a chunk start other than 0
-    for L in range(1, mc._BATCH_MAX_DIM + 1):
-        monkeypatch.setattr(mc, "_BATCH_VALUES", 3 << L)
+    for L in range(1, hypercube._BATCH_MAX_DIM + 1):
+        monkeypatch.setattr(hypercube, "_BATCH_VALUES", 3 << L)
         lands = [generate_hypercube(L, x, SEED, replica=r) for r in range(5, 12)]
-        counts = mc._cube_batches(np.int64, L, x, SEED, 5, 12)
-        hits = mc._cube_batches(bool, L, x, SEED, 5, 12)
+        counts = hypercube.count_chunk(np.int64, L, x, SEED, 5, 12)
+        hits = hypercube.count_chunk(bool, L, x, SEED, 5, 12)
         assert counts.tolist() == [count_open_paths(land) for land in lands]
         assert hits.tolist() == [path_exists(land) for land in lands]
 
@@ -594,11 +588,46 @@ def test_batch_size_and_crossover_leave_batches_unchanged():
 def test_batches_independent_of_threads(L):
     # batched (L <= 15): two chunks of 29 and 30 replicas, neither starting or
     # ending on a batch edge; one landscape per call (L = 16): chunks of 2 and 3
-    n = 59 if L <= mc._BATCH_MAX_DIM else 5
+    n = 59 if L <= hypercube._BATCH_MAX_DIM else 5
     for batch in (mc.hypercube_theta_batch, mc.hypercube_exists_batch):
         assert np.array_equal(batch(L, 0.1, SEED, n, threads=1), batch(L, 0.1, SEED, n, threads=2))
     one = mc.hypercube_theta_k_batch(L, 0.1, 3, SEED, n, threads=1)
     assert np.array_equal(one, mc.hypercube_theta_k_batch(L, 0.1, 3, SEED, n, threads=2))
+
+
+@pytest.mark.parametrize("L", [-1, 0, 25])
+def test_batch_drivers_refuse_a_dim_out_of_range(monkeypatch, L):
+    # the refusal comes before any landscape is sized: no scratch array is taken
+    def take(*args, **kwargs):
+        raise AssertionError("an array was sized")
+
+    monkeypatch.setattr(hypercube.Scratch, "take", take)
+    batches = (
+        mc.hypercube_theta_batch,
+        mc.hypercube_exists_batch,
+        lambda L, x, seed, n: mc.hypercube_theta_k_batch(L, x, 1, seed, n),
+    )
+    for batch in batches:
+        with pytest.raises(ValueError, match=r"dim must be in \[1, 24\]"):
+            batch(L, 0.1, SEED, 3)
+
+
+def test_theta_k_takes_its_weight_matrix_first(monkeypatch):
+    # a matrix too large to allocate fails before the DPs and the pair tables
+    class NoRoom(hypercube.Scratch):
+        def take(self, name, *args, **kwargs):
+            if name == "weights":
+                raise MemoryError("Unable to allocate the weight matrix")
+            return super().take(name, *args, **kwargs)
+
+    def never(*args, **kwargs):
+        raise AssertionError("called before the weight matrix")
+
+    land = generate_hypercube(9, 0.1, SEED, replica=1)
+    monkeypatch.setattr(hypercube, "_level_dp", never)
+    monkeypatch.setattr(hypercube, "_comparable_pairs", never)
+    with pytest.raises(MemoryError, match="weight matrix"):
+        theta_k_hypercube(land, 3, NoRoom())
 
 
 def test_theta_k_leaves_its_weight_matrix_zero():
