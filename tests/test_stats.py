@@ -55,6 +55,21 @@ def test_prodexp_cdf_on_all_reals():
     assert isinstance(prodexp_cdf(0.3), float)
 
 
+def test_k1e_port_is_scipy_k1e_bit_for_bit():
+    # both cephes branches, the tiny u of tiny z, and the branch point 2
+    below, above = [2.0], [2.0]
+    for _ in range(8):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], 4.0))
+    for u in (
+        np.linspace(0.0, 2.0, 200_001)[1:],
+        np.linspace(2.0, 800.0, 1_000_001)[1:],
+        np.logspace(-300.0, math.log10(2.0), 4000),
+        np.array(below + above),
+    ):
+        assert (stats._k1e(u).view(np.int64) == k1e(u).view(np.int64)).all()
+
+
 def _survival_by_quadrature(z: float) -> float:
     """Oracle: int_0^inf exp(-t - z/t) dt, split at the integrand peak sqrt(z)."""
     peak = math.sqrt(z)
