@@ -6,7 +6,9 @@ x = X/L scaling regimes keep full precision near x = 0.  Log-gamma of an
 integer is `_lgamma_int`, a port of the cephes `lgam` behind
 `scipy.special.gammaln` that returns its bits, so this module needs
 numpy only.  A large-L tree moment holds the cached ln a(L,q) table plus
-one scratch array of L-1 floats, worked in place: 16 MB at L = 10^6.
+one 2^16 block (8 MB + 0.5 MB at L = 10^6): `_pairwise_sum` adds the
+blocks in numpy's own pairwise order, so each sum keeps the bits of one
+numpy sum over the whole array.
 
 Counts that outgrow a machine word are exact Python integers.  The
 hypercube pair profile, the count c_r of ordered path pairs whose shared
@@ -123,31 +125,66 @@ def a_coeff(L: int, q: int) -> float:
     return math.exp(log_a_coeff(L, q))
 
 
+_BLOCK = 2**16  # entries per block of a large-L table build or sum
+
+
+def _pairwise_sum(values, lo: int, hi: int) -> float:
+    """The sum of the entries q = lo..hi-1 that values(a, b) returns for
+    q in [a, b), bit for bit np.add.reduce of them as one contiguous array.
+
+    numpy adds a contiguous run of n doubles pairwise: above 128 entries
+    it splits at n // 2, rounded down to a multiple of 8, and adds the two
+    halves' sums.  This follows that split down to pieces of at most
+    _BLOCK entries and lets numpy sum each piece, so only one piece lives
+    at a time.
+    """
+    n = hi - lo
+    if n <= _BLOCK:
+        return float(np.add.reduce(values(lo, hi)))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
+
+
 @lru_cache(maxsize=32)
 def _log_a_all(L: int) -> np.ndarray:
     """ln a(L,q) for q = 0..L-2 (callers check L >= 2): the exact increments,
-    written into the output in blocks of 2^16 entries, then summed in place."""
+    written into the output in blocks of _BLOCK entries, then summed in place.
+    Every log argument is an integer below 2^53, so each is exact however
+    it is formed."""
     out = np.empty(L - 1)
     out[0] = math.log(L) + math.log(L - 1)
-    for lo in range(1, L - 1, 2**16):
-        j = np.arange(lo, min(lo + 2**16, L - 1), dtype=float)
-        inc, tmp = out[lo : lo + j.size], np.empty(j.size)
-        np.log(L - j - 1, out=inc)
-        inc += np.log(2 * L - j - 1, out=tmp)
-        inc -= np.log(2 * L - 2 * j, out=tmp)
-        inc -= np.log(2 * L - 2 * j - 1, out=tmp)
+    j = np.arange(1, min(1 + _BLOCK, L - 1), dtype=float)
+    tmp = np.empty(j.size)
+    for lo in range(1, L - 1, _BLOCK):
+        size = min(_BLOCK, L - 1 - lo)
+        inc, jb, t = out[lo : lo + size], j[:size], tmp[:size]
+        np.log(np.subtract(L - 1, jb, out=inc), out=inc)
+        inc += np.log(np.subtract(2 * L - 1, jb, out=t), out=t)
+        inc -= np.log(np.multiply(np.subtract(L, jb, out=t), 2, out=t), out=t)
+        inc -= np.log(np.subtract(2 * L - 1, np.multiply(jb, 2, out=t), out=t), out=t)
+        j += _BLOCK
     np.cumsum(out[1:], out=out[1:])
     out[1:] += out[0]
     out.setflags(write=False)
     return out
 
 
-def _tree_pair_log_terms(L: int, x: float) -> np.ndarray:
+def _tree_pair_log_block(L: int, x: float, a: int, b: int) -> np.ndarray:
     """ln of a(L,q) (1-x)^(2L-q-2), the q-bond pairs' share of E[Theta^2],
-    for q = 0..L-2 and x < 1, in one fresh array the caller may overwrite."""
-    log_a = _log_a_all(L)  # before the scratch array: the build's temporaries never meet it
-    terms = np.arange(2 * L - 2, L - 1, -1, dtype=float)  # 2L - q - 2
-    return np.add(log_a, np.multiply(terms, math.log1p(-x), out=terms), out=terms)
+    for q in [a, b) and x < 1, in one fresh array the caller may overwrite."""
+    log_a = _log_a_all(L)  # before the block: the build's scratch never meets it
+    t = np.arange(2 * L - 2 - a, 2 * L - 2 - b, -1, dtype=float)  # 2L - q - 2
+    return np.add(log_a[a:b], np.multiply(t, math.log1p(-x), out=t), out=t)
+
+
+def _tree_pair_sum(L: int, x: float, lo: int) -> float:
+    """sum_{q=lo}^{L-2} a(L,q) (1-x)^(2L-q-2), one block at a time."""
+
+    def terms(a: int, b: int) -> np.ndarray:
+        t = _tree_pair_log_block(L, x, a, b)
+        return np.exp(t, out=t)
+
+    return _pairwise_sum(terms, lo, L - 1)
 
 
 def second_moment_tree(L: int, x: float) -> float:
@@ -157,8 +194,7 @@ def second_moment_tree(L: int, x: float) -> float:
         raise ValueError(f"L must be >= 2, got {L}")
     if x == 1.0:
         return 0.0
-    terms = _tree_pair_log_terms(L, x)
-    return float(np.exp(terms, out=terms).sum() + expected_paths(L, x))
+    return _tree_pair_sum(L, x, 0) + expected_paths(L, x)
 
 
 def var_tree(L: int, x: float) -> float:
@@ -171,10 +207,14 @@ def var_star_tree(L: int) -> float:
     sum_q a(L,q)/(2L-q-1)."""
     if L < 2:
         raise ValueError(f"L must be >= 2, got {L}")
-    log_a = _log_a_all(L)  # first, as in _tree_pair_log_terms
-    terms = np.arange(2 * L - 1, L, -1, dtype=float)  # 2L - q - 1
-    np.subtract(log_a, np.log(terms, out=terms), out=terms)
-    return float(np.exp(terms, out=terms).sum())
+    log_a = _log_a_all(L)  # before the first block, as in _tree_pair_log_block
+
+    def terms(a: int, b: int) -> np.ndarray:
+        t = np.arange(2 * L - 1 - a, 2 * L - 1 - b, -1, dtype=float)  # 2L - q - 1
+        np.subtract(log_a[a:b], np.log(t, out=t), out=t)
+        return np.exp(t, out=t)
+
+    return _pairwise_sum(terms, 0, L - 1)
 
 
 def cond_var_tree(L: int, x: float, k: int) -> float:
@@ -184,10 +224,8 @@ def cond_var_tree(L: int, x: float, k: int) -> float:
         raise ValueError(f"k must be in [1, {L - 2}], got {k}")
     if x == 1.0:
         return 0.0
-    log_terms = _tree_pair_log_terms(L, x)
-    isolated = -math.exp(log_terms[k] - math.log(L - k - 1))
-    tail = log_terms[k + 1 :]
-    return float(np.exp(tail, out=tail).sum()) + isolated + expected_paths(L, x)
+    isolated = -math.exp(_tree_pair_log_block(L, x, k, k + 1).item() - math.log(L - k - 1))
+    return _tree_pair_sum(L, x, k + 1) + isolated + expected_paths(L, x)
 
 
 @dataclass(frozen=True)
@@ -265,19 +303,21 @@ def a_bound_check(L: int) -> BoundReport:
         raise ValueError(f"L must be >= 12, got {L}")
     log_a = _log_a_all(L)
     split = min(q0(L), L - 2)
-    # the bound, 2 ln L - q ln 1.99 up to the split and ln 2 above
-    excess = np.arange(L - 1, dtype=float)
-    np.subtract(2 * math.log(L), np.multiply(excess, math.log(1.99), out=excess), out=excess)
-    excess[split + 1 :] = math.log(2.0)
-    np.subtract(log_a, excess, out=excess)
-    # slack for accumulated log-space rounding: at q = L-2 the coefficient
-    # equals the tail bound exactly, so exact equality must not register
-    bad = np.flatnonzero(excess > 1e-9)
-    return BoundReport(
-        holds=bad.size == 0,
-        first_violation_q=int(bad[0]) if bad.size else None,
-        max_log_excess=float(excess.max()),
-    )
+    first, peak = None, -math.inf
+    for lo in range(0, L - 1, _BLOCK):
+        hi = min(lo + _BLOCK, L - 1)
+        # the bound, 2 ln L - q ln 1.99 up to the split and ln 2 above
+        excess = np.arange(lo, hi, dtype=float)
+        np.subtract(2 * math.log(L), np.multiply(excess, math.log(1.99), out=excess), out=excess)
+        excess[max(split + 1 - lo, 0) :] = math.log(2.0)
+        np.subtract(log_a[lo:hi], excess, out=excess)
+        peak = max(peak, float(excess.max()))
+        # slack for accumulated log-space rounding: at q = L-2 the coefficient
+        # equals the tail bound exactly, so exact equality must not register
+        bad = np.flatnonzero(excess > 1e-9)
+        if first is None and bad.size:
+            first = lo + int(bad[0])
+    return BoundReport(holds=first is None, first_violation_q=first, max_log_excess=peak)
 
 
 def pair_open_prob_tree(L: int, q: int, x: float) -> float:

@@ -194,9 +194,9 @@ def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
     """
     h = 1.0 / grid_n
     c = h / 24.0
-    xs = np.linspace(0.0, 1.0, grid_n + 1)
+    log1mx = np.linspace(0.0, 1.0, grid_n + 1)
     with np.errstate(divide="ignore"):
-        log1mx = np.log1p(-xs)
+        np.log1p(np.negative(log1mx, out=log1mx), out=log1mx)  # in place: no second grid
     # left of the first tail point below this log, the cells are normal
     q_floor = _NORMAL_LOG - math.log(h) + 1.0
 

@@ -5,7 +5,7 @@ import math
 import operator
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -176,6 +176,34 @@ def test_large_L_moments_are_pinned_bit_for_bit():
     assert second_moment_tree(L, 1e-6).hex() == "0x1.f82a169509842p+37"
     assert var_star_tree(L).hex() == "0x1.e84800000862ap+19"
     assert cond_var_tree(L, 0.0, 3).hex() == "0x1.d1aa5cc8c07f6p+36"
+    # each tail starts numpy's pairwise split at its own offset
+    assert cond_var_tree(L, 0.0, 1).hex() == "0x1.d1a959624f802p+38"
+    assert cond_var_tree(L, 0.0, 10).hex() == "0x1.d226666708900p+29"
+    assert a_bound_check(L).max_log_excess.hex() == "-0x1.c5590bc000000p-27"
+    # L - 1 just above one block, and a split landing next to a block edge
+    assert second_moment_tree(2**16 + 2, 1e-6).hex() == "0x1.c1207cb127614p+32"
+    assert var_star_tree(2**16 + 2).hex() == "0x1.000200040023cp+16"
+    assert second_moment_tree(2**17 + 3, 1e-6).hex() == "0x1.89f2cbb804e7dp+34"
+    assert var_star_tree(2**17 + 3).hex() == "0x1.0001800100048p+17"
+
+
+def test_pairwise_sum_is_numpy_sum_of_one_array_bit_for_bit():
+    # The premise of the large-L moments: numpy sums a contiguous run of
+    # doubles pairwise, and _pairwise_sum repeats its split over blocks.
+    # Values of both signs over 120 binades make nearly every change of
+    # order change the rounded sum.
+    rng = np.random.default_rng(1304)
+    n_max = 10**6 - 1
+    x = np.ldexp(rng.random(n_max + 3) + 1.0, rng.integers(-60, 60, n_max + 3))
+    x[rng.random(x.size) < 0.5] *= -1.0
+    block = moments._BLOCK
+    for n in (1, 7, 8, 9, 127, 128, 129, block - 1, block, block + 1, 2 * block + 8, 3 * block + 5, n_max):
+        for lo in (0, 3):
+            got = moments._pairwise_sum(lambda a, b: x[a:b], lo, lo + n)
+            assert got.hex() == float(np.add.reduce(x[lo : lo + n])).hex(), (n, lo)
+    # the data tell orders apart: block sums added left to right differ
+    sums = (float(np.add.reduce(x[a : a + block])) for a in range(0, n_max, block))
+    assert reduce(operator.add, sums) != float(np.add.reduce(x[:n_max]))
 
 
 @pytest.mark.parametrize("L", [13, 2**16 + 1, 2**16 + 2, 2**17 + 3])
@@ -204,20 +232,21 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_large_L_moments_hold_one_scratch_array():
-    # beyond the cached ln a(L, q) table, a call holds one array of L - 1 floats
+def test_large_L_moments_hold_one_block():
+    # beyond the cached ln a(L, q) table, a call holds one block of floats
+    # at a time, and the table's build about two
     L = 10**6
-    row = 8 * L
+    blocks = 4 * 8 * moments._BLOCK
     moments._log_a_all.cache_clear()
     try:
-        assert _traced_peak(lambda: var_star_tree(L)) <= 2.5 * row  # table included
+        assert _traced_peak(lambda: var_star_tree(L)) <= 8 * (L - 1) + blocks  # table included
         for call in (
             lambda: var_star_tree(L),
             lambda: cond_var_tree(L, 0.0, 3),
             lambda: second_moment_tree(L, 1e-6),
             lambda: a_bound_check(L),
         ):
-            assert _traced_peak(call) <= 1.25 * row
+            assert _traced_peak(call) <= blocks
     finally:
         moments._log_a_all.cache_clear()  # 8 MB at L = 10**6
 
