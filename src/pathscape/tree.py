@@ -5,7 +5,9 @@ value 1 and the root carries x.  A node value is a pure function of
 (seed, path digest): the value of child c of a node with digest d is
 uniform_from_hash(splitmix64(d + c + 1)), so the level-synchronous frontier
 engine (`_walk`, over a block of replicas) and a full enumeration replay
-exactly the same realization.
+exactly the same realization.  The engine compares hashes, not values (a
+child is open iff its hash exceeds its parent's hash | 2047), and gathers
+each level's open children by flat index.
 
 The expected number of alive (open-prefix) nodes is about (2-x)^L; every
 walk carries a per-replica visit budget, and one replica past it makes the
@@ -78,11 +80,21 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _root_threshold(x: float) -> int:
+    """Largest child hash left closed below a root of value x: a child is
+    open iff (h >> 11) * 2^-53 > x, iff h > (floor(x 2^53) << 11) | 2047
+    (x 2^53 is exact); at x = 1 that is 2^64 - 1, which no hash exceeds."""
+    return min((int(x * 2.0**53) << 11) | 2047, _M64)
+
+
 def _walk(seeds: np.ndarray, L: int, x: float, depth: int, budget: int, width=None):
     """Walk a block of replicas (uint64 `seeds`) level by level to `depth`.
 
     Returns the open level-`depth` nodes as (values, owner=replica index),
     each replica's nodes contiguous, and a per-replica bool array: cut.
+    Openness is decided in integers, hash > parent hash | 2047 (at the root,
+    hash > `_root_threshold(x)`), and open children are gathered by flat
+    index; floats are formed only for the beam's sort key and the output.
     With `width`, each level keeps only each replica's `width` lowest-valued
     open nodes (a beam: the most children open below a low value); cut
     marks the replicas that ever had more.  A replica never cut had its full
@@ -93,7 +105,8 @@ def _walk(seeds: np.ndarray, L: int, x: float, depth: int, budget: int, width=No
     if not 0 <= depth < L:
         raise ValueError(f"k must be in [0, {L - 1}], got {depth}")
     n = len(seeds)
-    values, digests, owner = np.full(n, float(x)), _splitmix64(seeds.copy()), np.arange(n)
+    digests, owner = _splitmix64(seeds.copy()), np.arange(n)
+    above = np.full(n, _root_threshold(x), dtype=np.uint64)
     visits = np.zeros(n, dtype=np.int64)
     cut = np.zeros(n, dtype=bool)
     for level in range(depth):
@@ -102,11 +115,8 @@ def _walk(seeds: np.ndarray, L: int, x: float, depth: int, budget: int, width=No
         if visits.max() > budget:
             raise BudgetExceededError(f"node budget {budget} exhausted at level {level + 1}")
         hashes = _splitmix64(digests[:, None] + np.arange(1, arity + 1, dtype=np.uint64))
-        # child value (h >> 11) * 2^-53 > parent value, compared exactly in 2^-53 units
-        alive = (hashes >> 11) > values[:, None] * 2.0**53
-        digests = hashes[alive]
-        values = (digests >> 11) * 2.0**-53
-        owner = np.broadcast_to(owner[:, None], alive.shape)[alive]
+        idx = np.flatnonzero(hashes > above[:, None])
+        digests, owner = hashes.ravel().take(idx), owner.take(idx // arity)
         if width is not None:
             counts = np.bincount(owner, minlength=n)
             over = counts > width
@@ -115,10 +125,12 @@ def _walk(seeds: np.ndarray, L: int, x: float, depth: int, budget: int, width=No
                 # owner is non-decreasing and values < 1, so this key sorts
                 # replica-major: sorted position i still belongs to owner[i].
                 # Which of two tied nodes stays changes no replica's status.
-                order = np.argsort(2.0 * owner + values)
+                order = np.argsort(2.0 * owner + (digests >> 11) * 2.0**-53)
                 rank = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
                 keep = order[rank < width]
-                values, digests, owner = values[keep], digests[keep], owner[keep]
+                digests, owner = digests[keep], owner[keep]
+        above = digests | 2047
+    values = (digests >> 11) * 2.0**-53 if depth else np.full(n, float(x))
     return values, owner, cut
 
 
@@ -169,13 +181,13 @@ def exists_block(seeds: np.ndarray, L: int, x: float, budget: int) -> np.ndarray
 
 def theta_k_block(seeds: np.ndarray, L: int, x: float, k: int, budget: int) -> np.ndarray:
     """Theta_k per replica seed: the sum over its open level-k nodes of
-    (L-k)(1 - v)^(L-k-1).  The powers are Python floats (numpy's power can
-    differ in the last bit); bincount adds them in C in index order, and each
-    replica's nodes are contiguous in BFS order, so every sum is the plain
-    left-to-right one on any CPython."""
+    (L-k)(1 - v)^(L-k-1).  np.float_power calls libm `pow`, as Python's `**`
+    (np.power may take a SIMD path that differs in the last bit); bincount
+    adds them in C in index order, and each replica's nodes are contiguous
+    in BFS order, so every sum is the plain left-to-right one on any CPython."""
     values, owner, _ = _walk(seeds, L, x, k, budget)
     below = values < 1.0  # as in theta_block: a value-1 node opens no path
-    terms = [(L - k) * (1.0 - v) ** (L - k - 1) for v in values[below].tolist()]
+    terms = (L - k) * np.float_power(1.0 - values[below], L - k - 1)
     return np.bincount(owner[below], weights=terms, minlength=len(seeds))
 
 

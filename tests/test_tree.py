@@ -1,10 +1,11 @@
 """Lazily sampled tree: frontier engine, alive fronts, conditional expectations."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathscape import mc, moments, stats, tree
@@ -78,6 +79,69 @@ def test_alive_front_values_exceed_root():
         values, owner, _ = tree._walk(seeds, L, x, k, tree.DEFAULT_NODE_BUDGET)
         assert (owner == 0).all()
         assert (values > x).all()
+
+
+@given(x=st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+@example(x=0.0)
+@example(x=1.0)
+@example(x=5e-324)
+@example(x=1.0 - 2.0**-53)
+@example(x=0.1)
+@example(x=1 / 3)
+@example(x=(math.log(12) + 1) / 12)
+def test_root_threshold_matches_the_float_rule(x):
+    # hashes at the rule's edges: top 53 bits 0, floor(x 2^53), one above it
+    # and 2^53 - 1, each with its low 11 bits all 0 and all 1
+    floor = int(x * 2.0**53)
+    tops = [t for t in (0, floor, floor + 1, 2**53 - 1) if t < 2**53]
+    hashes = [(t << 11) | low for t in tops for low in (0, 2047)]
+    above = np.full(len(hashes), tree._root_threshold(x), dtype=np.uint64)
+    got = np.array(hashes, dtype=np.uint64) > above
+    assert got.tolist() == [(h >> 11) * 2.0**-53 > x for h in hashes]
+
+
+@pytest.mark.parametrize("x", [0.0, 5 * 2.0**-53, 7.5 * 2.0**-53, 1.0])
+def test_walk_closes_ties_at_every_level(monkeypatch, x):
+    # With the identity for a hash, child c of digest d hashes to d + c + 1,
+    # so children share their parent's top 53 bits, its value, unless they
+    # cross a multiple of 2048: ties at every level, which the float rule
+    # closes.  The reference replays that rule on Python ints.
+    monkeypatch.setattr(tree, "_splitmix64", lambda z: z)
+    L = 4
+    seeds = [(top << 11) | low for top in (5, 7) for low in (0, 2045, 2047)]
+    for depth in range(L):
+        values, owner, _ = tree._walk(np.array(seeds, dtype=np.uint64), L, x, depth, 10**6)
+        want = []
+        for r, seed in enumerate(seeds):
+            front = [(x, seed)]
+            for level in range(depth):
+                front = [
+                    (uniform_from_hash(d + c + 1), d + c + 1)
+                    for v, d in front
+                    for c in range(L - level)
+                    if uniform_from_hash(d + c + 1) > v
+                ]
+            want += [(v, r) for v, _ in front]
+        assert list(zip(values.tolist(), owner.tolist())) == want, depth
+
+
+def test_float_power_matches_python_pow():
+    # theta_k_block's powers: pinned tree records were made with Python's **
+    rng = np.random.default_rng(SEED)
+    draws = rng.random(2048)
+    bases = np.concatenate(
+        [
+            [0.0, 5e-324, 2.0**-1022, 0.5, 1.0 - 2.0**-53],
+            draws,
+            1.0 - draws,
+            2.0 ** -rng.uniform(0.0, 1074.0, 1024),
+        ]
+    )
+    for n in range(64):
+        got = np.float_power(bases, n)
+        want = np.array([b**n for b in bases.tolist()])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), n
 
 
 def _theta_k_by_enumeration(L: int, x: float, seed: int, k: int) -> float:
@@ -293,3 +357,38 @@ def test_golden_existence_mc(master_seed):
     est = tree_existence_mc(14, 0.0, 200, master_seed)
     pair = np.array([est.estimate, est.budget_hits], dtype=float)
     assert _digest(pair) == "090bce422623aba019d0f1d201ace9d1e560846077b713e402a33e42c2069829"
+
+
+# Per-replica pins, recorded before the walker compared in integers and
+# gathered by index.  Each existence set holds replicas that the beam decides
+# (an open path found, or a beam never cut) and replicas that only the full
+# walk decides.
+@pytest.mark.parametrize(
+    "L, x, n, digest",
+    [
+        (14, 0.0, 200, "92d4ba7f173824bfb2fca575b768be8de28f954267e7b7aa7fce3ffff74dfb04"),
+        (
+            12,
+            (math.log(12) + 1) / 12,
+            400,
+            "cd22c8188371ed84a26570618c641ff155bebf7e516cf858525ccbddc6ab79b9",
+        ),
+    ],
+)
+def test_golden_existence_per_replica(master_seed, L, x, n, digest):
+    budget = tree.DEFAULT_NODE_BUDGET
+    got = tree.block_chunk(
+        tree.exists_block, bool, L, x, master_seed, (budget,), 0, n, width=tree._BEAM_WIDTH
+    )
+    seeds = derive_seed(master_seed, np.arange(n, dtype=np.uint64))
+    _, owner, cut = tree._walk(seeds, L, x, L - 1, budget, tree._BEAM_WIDTH)
+    by_beam = np.bincount(owner, minlength=n) > 0
+    by_full_walk = cut & ~by_beam
+    assert by_beam.any() and by_full_walk.any() and got[by_full_walk].any()
+    assert _digest(got) == digest
+
+
+def test_golden_theta_k_batch_exponent_11(master_seed):
+    vals = mc.tree_theta_k_batch(14, 0.1, 2, master_seed, 500)
+    assert np.count_nonzero(vals) == 500
+    assert _digest(vals) == "c3d2117bced79220e8e7a428c25dc9e637cc3a10ffb5059ffb02a4c2cc873f88"
