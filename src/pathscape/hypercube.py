@@ -14,8 +14,8 @@ most.  Counts to the top corner run it on the reflected cube, existence
 on booleans.
 
 Two replica chunk loops serve the batches in `mc`, each over one re-keyed
-Philox generator and one `Scratch`: `count_chunk`, batched up to
-L = _BATCH_MAX_DIM, and `landscape_chunk`, one landscape at a time.
+Philox generator: `landscape_chunk`, one fresh landscape at a time, and
+`count_chunk`, batched up to L = _BATCH_MAX_DIM over four reused arrays.
 
 Ties in fitness are treated as blocking (strict inequality), a
 probability-zero event under the continuous model but deterministic.
@@ -76,30 +76,6 @@ class HypercubeLandscape:
             raise ValueError("fitness array size must be 2^dim")
 
 
-class Scratch:
-    """Arrays that a replica chunk reuses from one landscape or batch to the next.
-
-    ``take(name, shape, dtype)`` is a C-contiguous view of the first
-    prod(shape) entries of the flat buffer kept under (name, dtype).  A
-    buffer is allocated on first use, zero-filled when `zeroed` (its user
-    then restores every zero it overwrites), and replaced by a larger one
-    when a request outgrows it.  So after the first landscape a chunk's
-    "draws" and the level DP's two levels ("values", "counts") allocate
-    nothing; the DP's gathers are fresh arrays, whose memory the allocator
-    reuses.  Views of one name alias: each name serves one purpose.
-    """
-
-    def __init__(self):
-        self._bufs: dict = {}
-
-    def take(self, name: str, shape: tuple, dtype=np.float64, zeroed: bool = False) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._bufs.get((name, dtype))
-        if buf is None or buf.size < size:
-            buf = self._bufs[name, dtype] = (np.zeros if zeroed else np.empty)(size, dtype=dtype)
-        return buf[:size].reshape(shape)
-
-
 def _check_params(L: int, x: float) -> None:
     if not 1 <= L <= DEFAULT_DIM_CAP:
         raise ValueError(f"dim must be in [1, {DEFAULT_DIM_CAP}], got {L}")
@@ -109,18 +85,16 @@ def _check_params(L: int, x: float) -> None:
 
 def generate_hypercube(L: int, x: float, seed: int, replica: int = 0) -> HypercubeLandscape:
     """Draw a seeded landscape; same (L, x, seed, replica) is bit-exact."""
-    fitness = draw_landscapes(L, x, (philox_stream(seed, replica),), 1, Scratch())[0]
+    _check_params(L, x)
+    fitness = draw_landscapes(x, (philox_stream(seed, replica),), np.empty((1, 1 << L)))[0]
     fitness.setflags(write=False)
     return HypercubeLandscape(dim=L, origin_value=x, fitness=fitness)
 
 
-def draw_landscapes(L: int, x: float, rngs: Iterable, m: int, scratch: Scratch) -> np.ndarray:
-    """The values of m landscapes, one drawn from each of the next m
-    generators of `rngs`: row i holds 2^L uniforms in ascending bitmask
-    order, then the two corners set.  The (m, 2^L) array is the "draws"
-    buffer of `scratch`, valid until that buffer is reused."""
-    _check_params(L, x)
-    draws = scratch.take("draws", (m, 1 << L))
+def draw_landscapes(x: float, rngs: Iterable, draws: np.ndarray) -> np.ndarray:
+    """Fill row i of the (m, 2^L) `draws` from the next generator of `rngs`:
+    2^L uniforms in ascending bitmask order, then the two corners set.
+    Returns `draws`; callers check (L, x) before they size it."""
     for row, rng in zip(draws, rngs):
         rng.random(out=row)
     draws[:, 0] = x
@@ -195,7 +169,7 @@ def _level_masks(L: int, k: int) -> np.ndarray:
 
 
 def _level_dp(
-    f: np.ndarray, L: int, k_max: int, dtype, reflect: bool = False, scratch: Scratch | None = None
+    f: np.ndarray, L: int, k_max: int, dtype, reflect: bool = False, levels: tuple | None = None
 ) -> np.ndarray:
     """The level DP from 0...0 to the level-k_max nodes, masks ascending.
 
@@ -224,25 +198,24 @@ def _level_dp(
     cube, and the last level is reversed back.  Negation is exact, so g
     has exactly the ties of f (1 - f would round).
 
-    The two levels ("values", "counts") come from `scratch` (fresh by
-    default).  The gathers are fresh arrays, freed segment by segment so
-    the allocator reuses their memory: numpy indexing on one value per
-    node, `take` on a batch's rows of R values, the faster on each.  The
-    result is a copy, since the next call reuses the levels.
+    The two levels, values and counts of shape (2, widest level, *tail),
+    are fresh unless a batch loop passes them as `levels`.  The gathers are
+    fresh arrays, freed segment by segment so the allocator reuses their
+    memory: numpy indexing on one value per node, `take` on a batch's rows
+    of R values, the faster on each.  The result is a view of the counts.
     """
     d = min(L, _TILE_DIM)
     preds = _level_tables(d)[2]
-    scratch = Scratch() if scratch is None else scratch
     tail = f.shape[1:]  # the replica axis of a batch, else ()
     rows = list(f.reshape(-1, 1 << d, *tail)[:: -1 if reflect else 1])
     shape = (2, math.comb(L, min(k_max, L // 2)), *tail)  # the widest level
-    V, N = scratch.take("values", shape), scratch.take("counts", shape, dtype)
-    levels, cur = ((V[0], N[0]), (V[1], N[1])), {}
+    V, N = levels or (np.empty(shape), np.empty(shape, dtype))
+    cur = {}
     for k, segs in enumerate(_level_layout(L, d)[: k_max + 1]):
         # nk is still the finished level k - 1
         if k >= _GUARD_FROM_LEVEL and nk[: math.comb(L, k - 1)].max() > _I64_MAX // k:
             raise PathCountOverflowError(f"path count overflow at level {k}")
-        vk, nk = levels[k & 1]
+        vk, nk = V[k & 1], N[k & 1]
         prev, cur = cur, {}  # row -> its values and counts on level k - 1, k
         for r, t, cols, here, below in segs:
             fh, nh = cur[r] = vk[here], nk[here]
@@ -265,31 +238,29 @@ def _level_dp(
             for q in below:
                 fb, nb = prev[q]
                 nh += nb * (fb < fh)
-    return nk[: math.comb(L, k_max)][:: -1 if reflect else 1].copy()
+    return nk[: math.comb(L, k_max)][:: -1 if reflect else 1]
 
 
-def count_open_paths(land: HypercubeLandscape, scratch: Scratch | None = None) -> int:
-    """Exact number of open paths from 0...0 to 1...1 (checked 64-bit).
-
-    A replica loop passes one `scratch` for all its landscapes."""
-    return int(_level_dp(land.fitness, land.dim, land.dim, np.int64, scratch=scratch)[0])
+def count_open_paths(land: HypercubeLandscape) -> int:
+    """Exact number of open paths from 0...0 to 1...1 (checked 64-bit)."""
+    return int(_level_dp(land.fitness, land.dim, land.dim, np.int64)[0])
 
 
-def path_exists(land: HypercubeLandscape, scratch: Scratch | None = None) -> bool:
+def path_exists(land: HypercubeLandscape) -> bool:
     """True iff an open path exists: the DP on booleans, which cannot overflow."""
-    return bool(_level_dp(land.fitness, land.dim, land.dim, bool, scratch=scratch)[0])
+    return bool(_level_dp(land.fitness, land.dim, land.dim, bool)[0])
 
 
 def landscape_chunk(fn, dtype, L, x, seed, args, start, stop) -> np.ndarray:
-    """fn(landscape, *args, scratch=scratch) for each replica in
-    range(start, stop): one Philox generator re-keyed per replica, one
-    Scratch for the chunk."""
+    """fn(landscape, *args) for each replica in range(start, stop): one
+    Philox generator re-keyed per replica, each landscape a fresh array."""
+    _check_params(L, x)
     out = np.empty(stop - start, dtype=dtype)
-    scratch = Scratch()
     rngs = philox_replicas(seed, start, stop)
     for i in range(len(out)):
-        fitness = draw_landscapes(L, x, rngs, 1, scratch)[0]
-        out[i] = fn(HypercubeLandscape(L, x, fitness), *args, scratch=scratch)
+        fitness = draw_landscapes(x, rngs, np.empty((1, 1 << L)))[0]
+        out[i] = fn(HypercubeLandscape(L, x, fitness), *args)
+        del fitness  # before the next draw: one landscape in memory at a time
     return out
 
 
@@ -300,23 +271,26 @@ def count_chunk(dtype, L, x, seed, start, stop) -> np.ndarray:
     Up to _BATCH_MAX_DIM, one level DP runs R = _BATCH_VALUES >> L
     landscapes, transposed into a (2^L, R) array with a column each; the
     counts are exact integers, so summing R at a time changes nothing.
-    Larger cubes go one landscape at a time through count_open_paths or
-    path_exists, and so does a dim out of range, which draw_landscapes
-    refuses before it sizes an array.
+    The draws, their transpose and the DP's two levels are sized once; a
+    batch of m uses the first m / R of each.  Larger cubes go one landscape
+    at a time through count_open_paths or path_exists.
     """
-    if not 1 <= L <= _BATCH_MAX_DIM:
+    _check_params(L, x)
+    if L > _BATCH_MAX_DIM:
         fn = count_open_paths if dtype is np.int64 else path_exists
         return landscape_chunk(fn, dtype, L, x, seed, (), start, stop)
     out = np.empty(stop - start, dtype=dtype)
-    scratch = Scratch()
     rngs = philox_replicas(seed, start, stop)
     R = _BATCH_VALUES >> L
+    n, w = min(R, len(out)), math.comb(L, L // 2)  # the largest batch, the widest level
+    draws, batch = np.empty(n << L), np.empty(n << L)
+    values, counts = np.empty(2 * w * n), np.empty(2 * w * n, dtype)
     for i in range(0, len(out), R):
         m = min(R, len(out) - i)
-        draws = draw_landscapes(L, x, rngs, m, scratch)
-        f = scratch.take("batch", (1 << L, m))
-        np.copyto(f, draws.T)
-        out[i : i + m] = _level_dp(f, L, L, dtype, scratch=scratch)[0]
+        f = batch[: m << L].reshape(1 << L, m)
+        np.copyto(f, draw_landscapes(x, rngs, draws[: m << L].reshape(m, 1 << L)).T)
+        levels = values[: 2 * w * m].reshape(2, w, m), counts[: 2 * w * m].reshape(2, w, m)
+        out[i : i + m] = _level_dp(f, L, L, dtype, levels=levels)[0]
     return out
 
 
@@ -339,33 +313,28 @@ def _comparable_pairs(L: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return flat, col
 
 
-def theta_k_hypercube(land: HypercubeLandscape, k: int, scratch: Scratch | None = None) -> float:
+def theta_k_hypercube(land: HypercubeLandscape, k: int) -> float:
     """Conditional expectation of the path count given the first k levels
     seen from both corners.
 
     Sums n_sigma * m_tau * (L-2k) * (1 - y_tau - x_sigma)^(L-2k-1) over
     comparable pairs (sigma subset of tau) with x_sigma + y_tau < 1,
-    where y_tau = 1 - value(tau).  The weight matrix comes from
-    `scratch`, which keeps it zero between calls: only the entries written
-    are reset.  It is taken first, so that one too large to allocate fails
+    where y_tau = 1 - value(tau).  The weight matrix is a fresh zero
+    matrix, allocated first, so that one too large to allocate fails
     before the DPs and the pair tables run.
     """
     L = land.dim
     if not 0 <= 2 * k < L:
         raise ValueError(f"k must be in [0, {(L - 1) // 2}] (2k < dim), got {k}")
-    scratch = Scratch() if scratch is None else scratch
-    w = scratch.take("weights", (math.comb(L, k),) * 2, zeroed=True)
-    n = _level_dp(land.fitness, L, k, np.int64, scratch=scratch).astype(float)
-    m = _level_dp(land.fitness, L, k, np.int64, reflect=True, scratch=scratch).astype(float)
+    w = np.zeros((math.comb(L, k),) * 2)
+    n = _level_dp(land.fitness, L, k, np.int64).astype(float)
+    m = _level_dp(land.fitness, L, k, np.int64, reflect=True).astype(float)
     xs = land.fitness[_level_masks(L, k)]
     ys = 1.0 - land.fitness[_level_masks(L, L - k)]
     flat, col = _comparable_pairs(L, k)
     base = (1.0 - xs)[:, None] - ys[col]
     # a tie blocks: base 0 weighs 0, also at exponent 0
     ok = np.flatnonzero(base > 0.0)
-    at = flat.ravel()[ok]
-    w.ravel()[at] = (L - 2 * k) * base.ravel()[ok] ** (L - 2 * k - 1)
-    theta = float(n @ w @ m)
-    w.ravel()[at] = 0.0
-    return theta
+    w.ravel()[flat.ravel()[ok]] = (L - 2 * k) * base.ravel()[ok] ** (L - 2 * k - 1)
+    return float(n @ w @ m)
 

@@ -439,18 +439,6 @@ def test_multi_row_tiles_against_a_level_by_level_dp(L):
             assert np.array_equal(_level_dp(f, L, k, bool), reach[k])
 
 
-def test_dp_results_survive_the_next_call_on_the_same_scratch():
-    # the levels live in the scratch; each result must be a copy of them
-    for L in (9, 17):
-        f = generate_hypercube(L, 1 / L, SEED, replica=3).fitness
-        for k in (L // 2, L):
-            scratch = hypercube.Scratch()
-            n = _level_dp(f, L, k, np.int64, scratch=scratch)
-            m = _level_dp(f, L, k, np.int64, reflect=True, scratch=scratch)
-            assert np.array_equal(n, _level_dp(f, L, k, np.int64))
-            assert np.array_equal(m, _level_dp(f, L, k, np.int64, reflect=True))
-
-
 def test_level_masks_above_tile_dim_match_definition(monkeypatch):
     # built from the tile split alone: no table of the 17-cube
     L = 17
@@ -505,8 +493,8 @@ def test_tile_dims_leave_results_unchanged(monkeypatch, tile_dim):
 
 def test_level_dp_working_set_is_bounded():
     # cold calls, tables included: the 16-cube tables, the two live levels
-    # of values and counts, one tile level's gathers, and the result, a copy
-    # of the last level's counts (as large as a level for k = L // 2)
+    # of values and counts, one tile level's gathers, and the result, a view
+    # of the last level's counts that keeps them alive
     d = hypercube._TILE_DIM
     _level_tables.cache_clear()
     order, _, preds = _level_tables(d)
@@ -596,29 +584,29 @@ def test_batches_independent_of_threads(L):
 
 
 @pytest.mark.parametrize("L", [-1, 0, 25])
-def test_batch_drivers_refuse_a_dim_out_of_range(monkeypatch, L):
-    # the refusal comes before any landscape is sized: no scratch array is taken
-    def take(*args, **kwargs):
-        raise AssertionError("an array was sized")
-
-    monkeypatch.setattr(hypercube.Scratch, "take", take)
+def test_batch_drivers_refuse_a_dim_out_of_range(L):
+    # the refusal comes before any landscape is sized: at L = 25 one
+    # landscape would take 256 MiB, and the refusal stays below 1 MiB
     batches = (
         mc.hypercube_theta_batch,
         mc.hypercube_exists_batch,
         lambda L, x, seed, n: mc.hypercube_theta_k_batch(L, x, 1, seed, n),
     )
     for batch in batches:
-        with pytest.raises(ValueError, match=r"dim must be in \[1, 24\]"):
-            batch(L, 0.1, SEED, 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"dim must be in \[1, 24\]"):
+                batch(L, 0.1, SEED, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_theta_k_takes_its_weight_matrix_first(monkeypatch):
     # a matrix too large to allocate fails before the DPs and the pair tables
-    class NoRoom(hypercube.Scratch):
-        def take(self, name, *args, **kwargs):
-            if name == "weights":
-                raise MemoryError("Unable to allocate the weight matrix")
-            return super().take(name, *args, **kwargs)
+    def no_room(*args, **kwargs):
+        raise MemoryError("Unable to allocate the weight matrix")
 
     def never(*args, **kwargs):
         raise AssertionError("called before the weight matrix")
@@ -626,17 +614,9 @@ def test_theta_k_takes_its_weight_matrix_first(monkeypatch):
     land = generate_hypercube(9, 0.1, SEED, replica=1)
     monkeypatch.setattr(hypercube, "_level_dp", never)
     monkeypatch.setattr(hypercube, "_comparable_pairs", never)
+    monkeypatch.setattr(np, "zeros", no_room)
     with pytest.raises(MemoryError, match="weight matrix"):
-        theta_k_hypercube(land, 3, NoRoom())
-
-
-def test_theta_k_leaves_its_weight_matrix_zero():
-    # k = 1 last: it reuses a prefix of the k = 3 matrix
-    scratch = hypercube.Scratch()
-    land = generate_hypercube(9, 0.1, SEED, replica=1)
-    for k, largest in ((1, 1), (2, 2), (3, 3), (1, 3)):
-        assert theta_k_hypercube(land, k, scratch) == theta_k_hypercube(land, k)
-        assert not scratch.take("weights", (math.comb(9, largest) ** 2,)).any()
+        theta_k_hypercube(land, 3)
 
 
 @pytest.mark.parametrize("L", [8, 12])
@@ -660,6 +640,32 @@ def test_batched_driver_working_set_is_bounded(L):
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+def test_batches_reuse_their_arrays():
+    # warm, 16 batches of R = 512 landscapes at L = 8: the draws, their
+    # transpose and the two levels are sized once per chunk, so fresh pages
+    # stay well below one per landscape (about 1 each with fresh levels)
+    resource = pytest.importorskip("resource")
+    L = 8
+    n = 16 * (2**17 >> L)
+    hypercube.count_chunk(np.int64, L, 0.1, SEED, 0, n)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    hypercube.count_chunk(np.int64, L, 0.1, SEED, 0, n)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 0.4 * n
+
+
+def test_landscape_chunk_holds_one_landscape_at_a_time():
+    # each landscape is freed before the next one is drawn
+    L = 16
+    tracemalloc.start()
+    try:
+        hypercube.landscape_chunk(lambda land: 0.0, np.float64, L, 0.1, SEED, (), 0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * 2**L
 
 
 def test_counts_to_top_does_not_copy_the_cube():
