@@ -263,8 +263,8 @@ def _cmd_moments(args):
 
 def _at(gf: recursion.GridFunction, at: float) -> float:
     # np.interp would clamp a point off the grid to the end value
-    if not gf.a <= at <= gf.b:
-        raise ValueError(f"--at {at} is outside the grid [{gf.a}, {gf.b}]")
+    if not 0.0 <= at <= gf.b:
+        raise ValueError(f"--at {at} is outside the grid [0.0, {gf.b}]")
     return float(gf(at))
 
 

@@ -158,16 +158,6 @@ def _level_layout(L: int, d: int) -> tuple:
     return tuple(levels)
 
 
-def _level_masks(L: int, k: int) -> np.ndarray:
-    """The level-k masks, ascending, in int64: up to d = _TILE_DIM a view of
-    the cached order, above it row by row of _level_layout (no L-cube table)."""
-    d = min(L, _TILE_DIM)
-    order, off, _ = _level_tables(d)
-    if L == d:
-        return order[off[k] : off[k + 1]]
-    return np.concatenate([(r << d) | cols[0] for r, _, cols, *_ in _level_layout(L, d)[k]])
-
-
 def _level_dp(
     f: np.ndarray, L: int, k_max: int, dtype, reflect: bool = False, levels: tuple | None = None
 ) -> np.ndarray:
@@ -295,22 +285,27 @@ def count_chunk(dtype, L, x, seed, start, stop) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _comparable_pairs(L: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in the (C(L, k), C(L, k)) matrix of the comparable pairs
-    sigma subset of tau, sigma on level k and tau on level L - k: flat,
-    and by column.
+def _comparable_pairs(L: int, k: int) -> tuple[np.ndarray, ...]:
+    """Theta_k's corner masks and comparable pairs: (sig, tau, flat, col).
 
-    Row i of both lists, ascending, the supersets tau_j of sigma_i; each
-    sigma has C(L - k, k) of them.  The flat position is i * C(L, k) + j,
-    the column j.  Read-only: the cache shares them.
+    sig and tau are the level-k and level-(L - k) masks, ascending, in
+    int64, read off the rows of _level_layout (d = min(L, _TILE_DIM)), so
+    no table of a cube above the tile is built.  Row i of flat and col
+    lists, ascending, the supersets tau_j of sigma_i, C(L - k, k) of them:
+    their position i * C(L, k) + j in the (C(L, k), C(L, k)) matrix, and
+    their column j.  Read-only: the cache shares them.
     """
-    sig = _level_masks(L, k)
-    not_tau = ~_level_masks(L, L - k)
+    d = min(L, _TILE_DIM)
+    sig, tau = (
+        np.concatenate([(r << d) | cols[0] for r, _, cols, *_ in _level_layout(L, d)[j]])
+        for j in (k, L - k)
+    )
+    not_tau = ~tau
     col = np.stack([np.flatnonzero((s & not_tau) == 0) for s in sig])
     flat = col + np.arange(0, len(sig) ** 2, len(sig))[:, None]
-    for arr in (flat, col):
+    for arr in (sig, tau, flat, col):
         arr.setflags(write=False)
-    return flat, col
+    return sig, tau, flat, col
 
 
 def theta_k_hypercube(land: HypercubeLandscape, k: int) -> float:
@@ -329,9 +324,9 @@ def theta_k_hypercube(land: HypercubeLandscape, k: int) -> float:
     w = np.zeros((math.comb(L, k),) * 2)
     n = _level_dp(land.fitness, L, k, np.int64).astype(float)
     m = _level_dp(land.fitness, L, k, np.int64, reflect=True).astype(float)
-    xs = land.fitness[_level_masks(L, k)]
-    ys = 1.0 - land.fitness[_level_masks(L, L - k)]
-    flat, col = _comparable_pairs(L, k)
+    sig, tau, flat, col = _comparable_pairs(L, k)
+    xs = land.fitness[sig]
+    ys = 1.0 - land.fitness[tau]
     base = (1.0 - xs)[:, None] - ys[col]
     # a tie blocks: base 0 weighs 0, also at exponent 0
     ok = np.flatnonzero(base > 0.0)

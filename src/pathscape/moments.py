@@ -299,10 +299,8 @@ class BoundReport:
 
 def a_bound_check(L: int) -> BoundReport:
     """Evaluate the split upper bound on a(L,q) and report any violation."""
-    if L < 12:
-        raise ValueError(f"L must be >= 12, got {L}")
-    log_a = _log_a_all(L)
     split = min(q0(L), L - 2)
+    log_a = _log_a_all(L)
     first, peak = None, -math.inf
     for lo in range(0, L - 1, _BLOCK):
         hi = min(lo + _BLOCK, L - 1)

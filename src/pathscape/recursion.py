@@ -34,9 +34,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class GridFunction:
-    """A function tabulated on a uniform grid over [a, b]."""
+    """A function tabulated on a uniform grid over [0, b]."""
 
-    a: float
     b: float
     values: np.ndarray
 
@@ -48,17 +47,17 @@ class GridFunction:
 
     @property
     def xs(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, len(self.values))
+        return np.linspace(0.0, self.b, len(self.values))
 
     @property
     def step(self) -> float:
-        return (self.b - self.a) / (len(self.values) - 1)
+        return self.b / (len(self.values) - 1)
 
     def __call__(self, x):
         return np.interp(x, self.xs, self.values)
 
     def integral(self) -> float:
-        """Integral over [a, b], by trapezoid on the grid."""
+        """Integral over [0, b], by trapezoid on the grid."""
         return float(np.trapezoid(self.values, dx=self.step))
 
 
@@ -289,7 +288,7 @@ def tree_gf(lam: float, L: int, grid_n: int) -> GridFunction:
     if grid_n < 64:
         raise ValueError(f"grid_n must be >= 64, got {grid_n}")
     if lam == 0.0:
-        return GridFunction(0.0, 1.0, np.ones(grid_n + 1))
+        return GridFunction(1.0, np.ones(grid_n + 1))
     # Iterate on the deficit d = 1 - G.  Storing G itself rounds tail
     # deficits below 1e-16 to zero, and the size-th power amplifies that
     # truncation inward until the whole solution collapses to 1.
@@ -308,7 +307,7 @@ def tree_gf(lam: float, L: int, grid_n: int) -> GridFunction:
     # error wave at its source.
     c = -math.expm1(-lam) / lam
     d = _deficit_sweeps(c * lam, L, grid_n)
-    return GridFunction(0.0, 1.0, 1.0 - d)
+    return GridFunction(1.0, 1.0 - d)
 
 
 def existence_prob(L: int, grid_n: int) -> GridFunction:
@@ -321,7 +320,7 @@ def existence_prob(L: int, grid_n: int) -> GridFunction:
     # deficit recursion of tree_gf with d_1 = 1, closed-form tail
     # size*(1-x)^(size-1) included.
     p = _deficit_sweeps(1.0, L, grid_n)
-    return GridFunction(0.0, 1.0, p)
+    return GridFunction(1.0, p)
 
 
 def p_star(L: int, grid_n: int) -> float:
@@ -354,7 +353,7 @@ def fk_iterate(k: int, z_max: float, grid_n: int) -> GridFunction:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     f = next(itertools.islice(_fk_iterates(_fk_grid(z_max, grid_n)), k, None))
-    return GridFunction(0.0, z_max, f)
+    return GridFunction(z_max, f)
 
 
 def fk_limit_gap(gf: GridFunction) -> float:

@@ -40,8 +40,8 @@ def _n(base: int, scale: float) -> int:
     return max(100, int(round(base * scale)))
 
 
-def _within_se(sample_mean, target, stderr, k=4.0):
-    return abs(sample_mean - target) <= k * stderr
+def _within_se(sample_mean, target, stderr):
+    return abs(sample_mean - target) <= 4.0 * stderr
 
 
 def _mean_band(criterion, key, label, fmt, values, target, L, x):

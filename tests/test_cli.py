@@ -137,6 +137,10 @@ def test_cascade_all_over_budget_exits_3(capsys, action):
         (["tree", "thetak", "--dim", "6", "--samples", "0"], "--samples"),
         (["recursion", "delta-check", "--zmax", "0.1", "--grid", "128"], "--zmax = 0.1"),
         (["recursion", "gf", "--mu", "1", "--levels", "3", "--grid", "128", "--at", "2"], "--at"),
+        (
+            ["recursion", "gf", "--at", "2", "--levels", "10", "--grid", "64"],
+            "--at 2.0 is outside the grid [0.0, 1.0]",
+        ),
         (["recursion", "pexist", "--levels", "3", "--grid", "128", "--at", "-1"], "--at"),
         (["cascade", "sample", "--k", "-1"], "--k must be"),
         (["cascade", "ks", "--k", "2", "--delta", "0", "--samples", "10"], "--delta must be"),
@@ -188,6 +192,7 @@ def test_cascade_all_over_budget_exits_3(capsys, action):
     ],
     ids=["no-dim", "limits-no-dim", "limits-no-regime", "negative-k", "missing-required",
          "zero-samples", "tree-zero-samples", "zmax-below-zmin", "gf-at-above-grid",
+         "gf-at-above-grid-message",
          "pexist-at-below-grid", "cascade-negative-k", "ks-zero-delta", "tree-zero-dim",
          "exists-x-above-one", "thetak-2k-ge-dim", "fk-negative-k", "verify-zero-scale",
          "verify-inf-scale", "second-x-above-one", "cond-var-x-above-one",

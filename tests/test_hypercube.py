@@ -15,7 +15,6 @@ from pathscape.hypercube import (
     HypercubeLandscape,
     PathCountOverflowError,
     _level_dp,
-    _level_masks,
     _level_tables,
     count_open_paths,
     generate_hypercube,
@@ -26,6 +25,11 @@ from pathscape.hypercube import (
 from oracle_criteria import enumerate_paths_oracle
 
 SEED = 919
+
+
+def _masks_at_level(L: int, k: int) -> np.ndarray:
+    """The level-k masks of the L-cube, ascending, by definition."""
+    return np.flatnonzero(np.bitwise_count(np.arange(1 << L)) == k)
 
 
 @pytest.mark.parametrize("L", range(1, 11))
@@ -53,18 +57,17 @@ def test_level_tables_hold_one_copy():
 
 
 def test_cached_tables_are_read_only():
-    # _level_masks hands out views of the shared cache: a write through them
-    # would change every later count of this landscape (12 -> 10)
+    # the caches hand the same arrays to every caller: a write through them
+    # would change every later count or Theta_k of this landscape
     land = generate_hypercube(4, 0.0, SEED, replica=44)
     assert count_open_paths(land) == 12
-    masks = _level_masks(4, 2)
-    with pytest.raises(ValueError):
-        masks[:] = masks[::-1]
+    theta = theta_k_hypercube(land, 1)
     order, _, preds = _level_tables(4)
-    for arr in (order, *preds):
+    for arr in (*hypercube._comparable_pairs(4, 1), order, *preds):
         with pytest.raises(ValueError):
             arr[...] = 0
     assert count_open_paths(land) == 12
+    assert theta_k_hypercube(land, 1) == theta
 
 
 def _landscape(fitness) -> HypercubeLandscape:
@@ -190,7 +193,7 @@ def test_counts_from_top_against_enumeration(L):
         for land in (raw, _tied(raw)):
             for k in range(L + 1):
                 counts = _level_dp(land.fitness, L, k, np.int64, reflect=True)
-                for tau, m in zip(_level_masks(L, L - k).tolist(), counts.tolist()):
+                for tau, m in zip(_masks_at_level(L, L - k).tolist(), counts.tolist()):
                     assert m == _paths_to_top_oracle(land, tau)
 
 
@@ -355,7 +358,7 @@ def test_golden_counts_from_origin(master_seed):
     for L in range(2, 11):
         land = generate_hypercube(L, 0.1, master_seed, replica=L)
         for k in range(L + 1):
-            masks, counts = _level_masks(L, k), _level_dp(land.fitness, L, k, np.int64)
+            masks, counts = _masks_at_level(L, k), _level_dp(land.fitness, L, k, np.int64)
             assert masks.dtype == np.int64
             assert counts.dtype == np.int64
             h.update(np.ascontiguousarray(masks).tobytes())
@@ -440,7 +443,9 @@ def test_multi_row_tiles_against_a_level_by_level_dp(L):
 
 
 def test_level_masks_above_tile_dim_match_definition(monkeypatch):
-    # built from the tile split alone: no table of the 17-cube
+    # the corner masks of the pair table, built from the tile split alone:
+    # no table of the 17-cube; k = 8 spans every row, and the pair tables of
+    # k = 4 to 7 would each hold tens of MB in the cache
     L = 17
     dims, built = [], hypercube._level_tables
 
@@ -449,11 +454,16 @@ def test_level_masks_above_tile_dim_match_definition(monkeypatch):
         return built(d)
 
     monkeypatch.setattr(hypercube, "_level_tables", tables)
-    level = np.bitwise_count(np.arange(1 << L))
-    for k in range(L + 1):
-        masks = _level_masks(L, k)
-        assert masks.dtype == np.int64
-        assert np.array_equal(masks, np.flatnonzero(level == k))
+    hypercube._level_layout.cache_clear()
+    hypercube._comparable_pairs.cache_clear()
+    try:
+        for k in (0, 1, 2, 3, 8):
+            sig, tau, *_ = hypercube._comparable_pairs(L, k)
+            assert sig.dtype == tau.dtype == np.int64
+            assert np.array_equal(sig, _masks_at_level(L, k))
+            assert np.array_equal(tau, _masks_at_level(L, L - k))
+    finally:
+        hypercube._comparable_pairs.cache_clear()
     assert set(dims) == {hypercube._TILE_DIM}
 
 
@@ -467,25 +477,27 @@ def test_tile_dims_leave_results_unchanged(monkeypatch, tile_dim):
         lands += [raw, _tied(raw)]
 
     def levels(land):
+        # and Theta_k's corner masks sigma and tau, where 2k < L
         f, L = land.fitness, land.dim
         return [
             (
-                _level_masks(L, k),
                 _level_dp(f, L, k, np.int64),
                 _level_dp(f, L, k, np.int64, reflect=True),
                 _level_dp(f, L, k, bool),
+                *(hypercube._comparable_pairs(L, k)[:2] if 2 * k < L else ()),
             )
             for k in range(L + 1)
         ]
 
     expect = [levels(land) for land in lands]
     monkeypatch.setattr(hypercube, "_TILE_DIM", tile_dim)
+    hypercube._comparable_pairs.cache_clear()  # else it hands back the pairs built above
     for land, want in zip(lands, expect):
         for got, ref in zip(levels(land), want, strict=True):
-            masks, n, m, reached = got
-            assert masks.dtype == n.dtype == m.dtype == np.int64
+            n, m, reached, *corners = got
+            assert all(a.dtype == np.int64 for a in (n, m, *corners))
             assert reached.dtype == bool
-            assert np.array_equal(reached, ref[1] > 0)
+            assert np.array_equal(reached, ref[0] > 0)
             for a, b in zip(got, ref, strict=True):
                 assert np.array_equal(a, b)
         assert path_exists(land) == (count_open_paths(land) > 0)

@@ -242,9 +242,9 @@ def test_reversed_accumulate_is_a_left_to_right_float_loop():
 
 def test_grid_function_validation():
     with pytest.raises(ValueError):
-        GridFunction(0.0, 1.0, np.array([1.0, 2.0]))
+        GridFunction(1.0, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        GridFunction(0.0, 1.0, np.array([1.0, np.inf, 2.0]))
+        GridFunction(1.0, np.array([1.0, np.inf, 2.0]))
 
 
 def test_parameter_validation():
