@@ -112,10 +112,6 @@ _TAIL_GRAFT_LOG = -575.0
 #: below about -745.13).  A fact of the number format, not a tolerance.
 _UNDERFLOW_LOG = -746.0
 
-#: ln of the smallest normal double, 2**-1022.  Where results fall below
-#: it, exp and the cell arithmetic run up to 80x slower.
-_NORMAL_LOG = math.log(2.0**-1022)
-
 #: Where y = fl(size*D) is below this, -expm1(size*log1p(-D)) is exactly y.
 #: D <= y, and a correctly rounded log1p(t) or expm1(t) equals t for
 #: |t| < 2**-54: the true value lies within a relative |t|/2 < 2**-55 of t,
@@ -144,6 +140,11 @@ def _dropped_cells_bound(count: int, c: float, f_first: float) -> float:
     return count * (64.0 * c * f_first + 2.0**-1068)
 
 
+def _cut_log(grid_n: int) -> float:
+    """The log floor of the cut at Q in _deficit_sweeps."""
+    return _TAIL_GRAFT_LOG - math.log(3 * grid_n) - 64 * math.log(2.0)
+
+
 def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
     """Tabulate d_L on x in [0, 1], where d_1 = a0 and
     d_size = 1 - (1 - int_x^1 d_{size-1} dy)^size for size = 2..L,
@@ -155,27 +156,27 @@ def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
     underflow of exp (log < _UNDERFLOW_LOG, a fact of IEEE doubles) every
     value and every cell is an exact zero.  The graft holds on a suffix
     of the grid, so only the window 0..m before it is swept.  Its suffix
-    sums still need the tail of d_{size-1}, cell by cell out to the last
+    sums D still need the tail of d_{size-1}, cell by cell out to the last
     nonzero point k.
 
-    Subnormal cut.  Each sweep first tries to leave out the subnormal
-    band of that tail (held in f), where exp and the cell arithmetic run
-    up to 80x slower.  Q is the first tail point whose log is below
-    ln(2^-1022/h) + 1, so the cells left of it, about h*f, are normal.
-    The tail is written up to Q + 1 and only cells 0..Q-1 are computed;
-    the rounded sum of the cells Q..cells-1 left out is within sigma
-    (_dropped_cells_bound) of zero.  fl(a + s) is nondecreasing in a,
-    so the full tail's suffix sums lie between two chains over cells
-    Q-1..0: one from -sigma into D, one from +sigma down to index m + 1
-    into the scratch for 13 f.  Where the chains meet at m + 1 with a
-    nonzero value, the true sum has those bits there, and every sum
-    below repeats the same roundings from it, so D[0..m] is exactly
-    what the full tail gives.  Where they do not meet, the sweep is
-    redone on the full tail out to k.  Size 2 (d_1 is the constant a0,
-    no tail to cut: k = grid_n, Q = 0) and every sweep where Q is within
-    one point of either window, or not below k, take the full tail at
-    once.  The output's own tail, subnormals included, is written once
-    at the end.
+    Cut.  Each sweep first tries to leave out the far part of that tail
+    (held in f), from Q, its first point with log below _cut_log(grid_n)
+    = _TAIL_GRAFT_LOG - ln(3*grid_n) - 64*ln 2.  The tail is written up
+    to Q + 1 and only cells 0..Q-1 are computed; the rounded sum of the
+    cells Q..cells-1 left out is within sigma (_dropped_cells_bound) of
+    zero, about 2^-64 of a cell at the graft.  Below about 10^18 points
+    the floor lies above ln(2^-1022*grid_n) + 1: no cell left of Q is
+    subnormal.  fl(a + s) is nondecreasing in a, so the full tail's sums
+    lie between two chains over cells Q-1..0: one from +sigma down to
+    index m + 1 into the scratch for 13 f, then one from -sigma in place
+    over the cells.  Where they meet at m + 1 with a nonzero value, the
+    true sum has those bits there, and every sum below repeats the same
+    roundings from it, so the sums at 0..m are exactly what the full
+    tail gives; where they do not (rarely), the sweep is redone on the
+    full tail out to k.  Size 2 (d_1 is the constant a0, no tail to cut:
+    k = grid_n, Q = 0) and every sweep where Q is within one point of
+    either window, or not below k, take the full tail at once.  The
+    output's own tail, subnormals included, is written once at the end.
 
     Linear head.  On the window, each point where y = size*clip(D, 0, 1)
     < _LINEAR_BOUND keeps y, which is what log1p and expm1 round to
@@ -184,8 +185,8 @@ def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
 
     Bounds.  m, k and Q - 1 are each the last index i with
     log(a0*s) + (s-1)*log1p(-x_i) >= floor: s = size for m, s = size - 1
-    for k and Q, and floor _TAIL_GRAFT_LOG, _UNDERFLOW_LOG and the
-    subnormal floor.  In exact arithmetic that index is
+    for k and Q, and floor _TAIL_GRAFT_LOG, _UNDERFLOW_LOG and
+    _cut_log(grid_n).  In exact arithmetic that index is
     floor(grid_n * -expm1((floor - log(a0*s))/(s-1))), and none (-1)
     when floor > log(a0*s).  Two loops step that guess to the float
     predicate, which is monotone in i, so the result does not depend on
@@ -196,8 +197,7 @@ def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
     log1mx = np.linspace(0.0, 1.0, grid_n + 1)
     with np.errstate(divide="ignore"):
         np.log1p(np.negative(log1mx, out=log1mx), out=log1mx)  # in place: no second grid
-    # left of the first tail point below this log, the cells are normal
-    q_floor = _NORMAL_LOG - math.log(h) + 1.0
+    q_floor = _cut_log(grid_n)
 
     def last_at_least(la, s, floor):
         # the last index i with la + (s-1)*log1mx[i] >= floor, la = log(a0*s)
@@ -211,9 +211,9 @@ def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
         return i
 
     # f holds d_{size-1}: swept values on 0..w-1, then the closed-form
-    # tail.  The three other buffers are scratch for one sweep.
+    # tail.  The two other buffers are scratch for one sweep.
     f = np.full(grid_n + 4, a0)
-    f13, seg, D = np.empty(grid_n + 4), np.empty(grid_n + 4), np.empty(grid_n + 4)
+    f13, seg = np.empty(grid_n + 4), np.empty(grid_n + 4)
     w = grid_n + 1
 
     def write_tail(la, s, lo, hi):
@@ -247,26 +247,25 @@ def _deficit_sweeps(a0: float, L: int, grid_n: int) -> np.ndarray:
                     write_tail(la_prev, size - 1, w, k + 1)
                     f[k + 1 : n] = 0.0
                     _segment_integrals(f[:n], h, seg, f13)
-                    # suffix sums D[i] = seg[cells-1] + ... + seg[i], in that order
-                    np.add.accumulate(seg[cells - 1 :: -1], out=D[cells - 1 :: -1])
+                    # suffix sums seg[cells-1] + ... + seg[i] into seg[i], in that order
+                    np.add.accumulate(seg[cells - 1 :: -1], out=seg[cells - 1 :: -1])
                     break
                 write_tail(la_prev, size - 1, w, q + 2)
                 # cells 0..q-1; the slice's one-sided last cell q is
                 # overwritten by each chain's starting value
                 _segment_integrals(f[: q + 2], h, seg, f13)
                 sigma = _dropped_cells_bound(cells - q, c, f.item(q - 1))
-                seg[q] = -sigma
-                np.add.accumulate(seg[q::-1], out=D[q::-1])
                 seg[q] = sigma
                 np.add.accumulate(seg[q:m:-1], out=f13[q:m:-1])
-                if D.item(m + 1) == f13.item(m + 1) != 0.0:
+                seg[q] = -sigma
+                np.add.accumulate(seg[q::-1], out=seg[q::-1])
+                if seg.item(m + 1) == f13.item(m + 1) != 0.0:
                     break
-            # d_size = -expm1(size * log1p(-clip(D, 0, 1))) on the window,
-            # written over the head of f, which seg and D no longer need;
-            # past the last point b - 1 with size*D >= _LINEAR_BOUND it is
-            # the product size*D itself
+            # d_size = -expm1(size * log1p(-clip(D, 0, 1))) on the window, D the sums
+            # in seg, written over the head of f, which they no longer need; past the
+            # last point b - 1 with size*D >= _LINEAR_BOUND it is the product size*D
             w = m + 1
-            t = D[:w].clip(0.0, 1.0, out=D[:w])
+            t = seg[:w].clip(0.0, 1.0, out=seg[:w])
             y = np.multiply(t, size, out=f[:w])
             big = (y >= _LINEAR_BOUND).nonzero()[0]
             b = int(big[-1]) + 1 if big.size else 0

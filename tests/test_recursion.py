@@ -94,12 +94,15 @@ def _existence_prob_full(L, grid_n):
 # linear part) on their one sweep at (2, 64) and on 3-6 sweeps elsewhere,
 # and 0 < b < w on all the others.
 #
-# The suffix sums leave out the tail's subnormal band (the cut at Q) in
-# the last three cases only: from size 94-100 on at 2^12 and 86-91 on at
-# 2^13, on every later sweep but two to four, 472-604 sweeps at 2^12 and
-# 1908-1913 at 2^13 per recursion.  Before that, and always in the first
-# two cases, the tail's underflow lies too close to the grid's end.
-# test_cut_fallback_matches_full_grid_oracle forces every cut to fall back.
+# The suffix sums leave out the tail past Q, its first point with log
+# below recursion._cut_log(grid_n), a fixed depth below the graft, in the
+# last three cases only: from size 79-86 on at 2^12 and 73-79 on at 2^13,
+# on every later sweep, 490-622 sweeps at 2^12 and 1922-1928 at 2^13 per
+# recursion.  Of those, 4-11 per recursion find that the chains from
+# -sigma and +sigma do not meet and fall back to the full tail.  Before
+# that, and always in the first two cases, the tail's underflow lies too
+# close to the grid's end.  test_cut_fallback_matches_full_grid_oracle
+# forces every cut to fall back.
 _ORACLE_CASES = [(2, 64), (50, 2**10), (575, 2**12), (700, 2**12), (2000, 2**13)]
 
 
@@ -129,6 +132,33 @@ def test_cut_fallback_matches_full_grid_oracle(L, grid_n, monkeypatch):
     assert np.array_equal(existence_prob(L, grid_n).values, _existence_prob_full(L, grid_n))
     assert np.array_equal(tree_gf(1.0 / L, L, grid_n).values, _tree_gf_full(1.0 / L, L, grid_n))
     assert (len(tried) > 0) == (L >= 575)
+
+
+def test_cut_sits_a_fixed_depth_below_the_graft(monkeypatch):
+    # above the subnormal floor ln(2^-1022/h) + 1, so every cell left of
+    # the cut is normal, for every grid up to 2^60 points
+    for e in range(6, 61):
+        assert recursion._cut_log(2**e) > math.log(2.0**-1022 * 2**e) + 1.0
+    # and deep enough that the chains almost always meet.  Each of the
+    # L - 1 sweeps of existence_prob calls _segment_integrals once, and
+    # once more where its cut falls back to the full tail.
+    tried, calls = [], []
+    bound, segment = recursion._dropped_cells_bound, recursion._segment_integrals
+
+    def spy_bound(*args):
+        tried.append(args)
+        return bound(*args)
+
+    def spy_segment(*args):
+        calls.append(args)
+        return segment(*args)
+
+    monkeypatch.setattr(recursion, "_dropped_cells_bound", spy_bound)
+    monkeypatch.setattr(recursion, "_segment_integrals", spy_segment)
+    L = 2000
+    existence_prob(L, 2**13)
+    fallbacks = len(calls) - (L - 1)
+    assert len(tried) > 1900 and 0 <= fallbacks <= 0.01 * len(tried)
 
 
 def test_tree_gf_empty_window_matches_full_grid_oracle():
@@ -208,12 +238,12 @@ def test_log1p_expm1_are_identity_below_linear_bound():
 def test_reversed_accumulate_is_a_left_to_right_float_loop():
     # The premise of the suffix sums and of the chains from -sigma and
     # +sigma: np.add.accumulate over a reversed view, written into a
-    # reversed view, adds one element at a time from the right, each sum
-    # rounded once, as a Python float loop does.  Read from the right, the
-    # data are both signed zeros, a run of subnormals of both signs (sums
-    # that stay subnormal), a run of zeros, then normal values over the
-    # whole exponent range mixed with subnormals and with the negatives
-    # of some of them.
+    # reversed view or in place, adds one element at a time from the
+    # right, each sum rounded once, as a Python float loop does.  Read
+    # from the right, the data are both signed zeros, a run of subnormals
+    # of both signs (sums that stay subnormal), a run of zeros, then
+    # normal values over the whole exponent range mixed with subnormals
+    # and with the negatives of some of them.
     rng = np.random.default_rng(1068)
 
     def signed(v):
@@ -238,6 +268,10 @@ def test_reversed_accumulate_is_a_left_to_right_float_loop():
     assert np.signbit(out[len(x) - 3 : len(x)]).tolist() == [False, True, True]
     tail = np.abs(out[len(x) - 503 : len(x) - 3])
     assert 0 < tail.max() < 2.0**-1022 and (tail == 0).sum() < 5
+    # in place, out the input's own reversed view, as the kernel sums
+    v = x.copy()
+    np.add.accumulate(v[::-1], out=v[::-1])
+    assert np.array_equal(v.view(np.uint64), out[: len(x)].view(np.uint64))
 
 
 def test_grid_function_validation():
